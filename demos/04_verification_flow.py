@@ -8,7 +8,6 @@ exact and the cut side is reproducible.
 Run: python3 demos/04_verification_flow.py
 """
 
-import io
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,10 +26,10 @@ rho = Fraction(1)
 net = build_network(g, cs, rho - Fraction(1, g.n * g.n))
 print(f"\nnetwork at rho = {rho} - 1/81: {len(net.arcs)} nodes, "
       f"shared denominator {net.den}")
-buf = io.StringIO()
-net.dump_arcs(buf)
 print("first arcs (from to numerator denominator):")
-print("\n".join(buf.getvalue().splitlines()[:6]))
+# arc e runs to head[e]; its residual twin e ^ 1 runs back to e's tail
+for e in range(0, 12, 2):
+    print(net.head[e ^ 1], net.head[e], net.cap[e], net.den)
 
 cut = min_cut(build_network(g, cs, rho - Fraction(1, g.n * g.n)))
 print(f"\nmin-cut value {cut.flow_value}, surviving vertices {cut.source_side}")

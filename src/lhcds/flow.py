@@ -6,6 +6,13 @@ point never touches the flow. The min cut is read off as the largest optimal
 source side (vertices with no residual path to the sink), which is what the
 "largest subgraph maximizing clique count minus rho times size" contract
 requires; the residual-reachable-from-source set would give the smallest.
+
+Networks are flat lists indexed by arc id. Arcs are created in pairs: arc
+``e`` runs to node ``head[e]`` with remaining capacity ``cap[e]``, and its
+residual twin ``e ^ 1`` runs back with the capacity flow has freed, so the
+tail of ``e`` is ``head[e ^ 1]``. ``arcs[u]`` lists the ids of the arcs
+leaving node ``u``, residual twins included. Dinic and the min-cut scan walk
+these lists of ints instead of one list object per arc.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import IO, Sequence
+from typing import Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
 from .graph import Graph, VertexSet, induced_subgraph
@@ -36,13 +43,20 @@ class FlowNetwork:
     """Directed network with integer capacities over a shared denominator.
 
     Node layout: 0 = source, 1 = sink, then one node per working-graph vertex
-    (``vertex_node[v] = 2 + v``), then clique and boundary nodes. Arcs store
-    remaining capacity; min_cut consumes the network.
+    (``vertex_node[v] = 2 + v``), then clique and boundary nodes. Arc layout:
+    arc ``e`` goes to node ``head[e]`` and has remaining capacity ``cap[e]``;
+    arcs are added in pairs, so the even id ``2i`` is the i-th arc added and
+    ``2i + 1`` its residual twin (in general the twin of ``e`` is ``e ^ 1``).
+    ``arcs[u]`` lists the ids of the arcs leaving ``u``, twins included: the
+    node count is ``len(arcs)`` and the arc count ``len(head) // 2``.
+    min_cut consumes the network.
     """
 
     num_vertices: int
     den: int
-    arcs: list[list[list[int]]] = field(default_factory=list)  # [to, cap, rev]
+    head: list[int] = field(default_factory=list)
+    cap: list[int] = field(default_factory=list)
+    arcs: list[list[int]] = field(default_factory=list)
 
     SOURCE = 0
     SINK = 1
@@ -61,15 +75,11 @@ class FlowNetwork:
     def add_arc(self, u: int, v: int, cap: int) -> None:
         if cap < 0:
             raise ValueError(f"negative capacity {cap}")
-        self.arcs[u].append([v, cap, len(self.arcs[v])])
-        self.arcs[v].append([u, 0, len(self.arcs[u]) - 1])
-
-    def dump_arcs(self, fp: IO[str]) -> None:
-        """Debug dump: one arc per line as "from to numerator denominator"."""
-        for u, lst in enumerate(self.arcs):
-            for to, cap, _rev in lst:
-                if cap > 0:
-                    fp.write(f"{u} {to} {cap} {self.den}\n")
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, 0)
+        self.arcs[u].append(e)
+        self.arcs[v].append(e + 1)
 
 
 @dataclass
@@ -93,87 +103,124 @@ def build_network(g: Graph, cs: CliqueSet, rho: Fraction,
     rho_h = Fraction(rho) * h
     den = lcm(rho_h.denominator, *(b.cnt for b in boundary)) if boundary \
         else rho_h.denominator
-    net = FlowNetwork(num_vertices=g.n, den=den)
+    n = g.n
+    net = FlowNetwork(num_vertices=n, den=den)
+    head, cap, arcs = net.head, net.cap, net.arcs
 
-    extra_mass = [0] * g.n
-    for cid in range(len(cs.cliques)):
-        members = cs.cliques[cid]
-        node = net.add_node()
-        for v in members:
-            net.add_arc(net.vertex_node(v), node, den)
-            net.add_arc(node, net.vertex_node(v), (h - 1) * den)
+    extra_mass = [0] * n
     for b in boundary:
         if not (1 <= b.cnt <= h - 1):
             raise ValueError(f"boundary count {b.cnt} outside [1, {h - 1}]")
+        for v in b.inside:
+            extra_mass[v] += h * den // b.cnt
+
+    sink_cap_num = rho_h * den
+    assert sink_cap_num.denominator == 1
+    sink_cap = max(0, int(sink_cap_num))
+    # Terminal arcs come first, so a vertex node tries its sink arc before
+    # its cliques. Vertex v owns ids 4v..4v+3: v -> t, its twin, s -> v, its
+    # twin.
+    for v in range(n):
+        vn = 2 + v
+        head += (net.SINK, vn, vn, net.SOURCE)
+        cap += (sink_cap, 0, cs.degree[v] * den + extra_mass[v], 0)
+        arcs[vn] += (4 * v, 4 * v + 3)
+    arcs[net.SOURCE].extend(range(2, 4 * n, 4))
+    arcs[net.SINK].extend(range(1, 4 * n, 4))
+
+    # Interior cliques in bulk: clique c gets node 2 + n + c, and its j-th
+    # member v owns the 4 ids from base + 4(hc + j): v -> clique (capacity
+    # 1), its twin, clique -> v (capacity h-1), its twin.
+    base = len(head)
+    per_clique = 4 * h
+    head.extend([x for c, members in enumerate(cs.cliques, len(arcs))
+                 for v in members for x in (c, v + 2, v + 2, c)])
+    cap.extend([den, 0, (h - 1) * den, 0] * (h * len(cs.cliques)))
+    leaving = [o for j in range(0, per_clique, 4) for o in (j + 1, j + 2)]
+    arcs.extend([b + o for o in leaving]
+                for b in range(base, len(head), per_clique))
+    e = base
+    for members in cs.cliques:
+        for v in members:
+            arcs[v + 2] += (e, e + 3)
+            e += 4
+
+    for b in boundary:
         node = net.add_node()
         inward = h * den // b.cnt
         for v in b.inside:
             net.add_arc(net.vertex_node(v), node, inward)
             net.add_arc(node, net.vertex_node(v), (h - 1) * den)
-            extra_mass[v] += inward
-
-    sink_cap_num = rho_h * den
-    assert sink_cap_num.denominator == 1
-    sink_cap = max(0, int(sink_cap_num))
-    for v in range(g.n):
-        net.add_arc(net.SOURCE, net.vertex_node(v), cs.degree[v] * den + extra_mass[v])
-        net.add_arc(net.vertex_node(v), net.SINK, sink_cap)
     return net
 
 
 def _max_flow(net: FlowNetwork) -> int:
     """Dinic's algorithm: shortest augmenting level graphs + blocking flow.
 
-    The blocking-flow walk is iterative (explicit path stack); recursion
-    would overflow on whole-graph networks.
+    The level search stops as soon as it labels the sink: nodes at the
+    sink's depth other than the sink lie on no shortest path, so they are
+    unlabelled again. The blocking-flow walk is iterative (explicit stack of
+    arc ids) and, after each augmentation, resumes from the tail of the first
+    saturated arc; recursion would overflow on whole-graph networks.
     """
-    arcs = net.arcs
+    head, cap, arcs = net.head, net.cap, net.arcs
     n = len(arcs)
     s, t = net.SOURCE, net.SINK
     total = 0
     while True:
         level = [-1] * n
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for to, cap, _rev in arcs[u]:
-                if cap > 0 and level[to] < 0:
-                    level[to] = level[u] + 1
-                    queue.append(to)
-        if level[t] < 0:
+        queue = [s]
+        for u in queue:
+            depth = level[u] + 1
+            for e in arcs[u]:
+                if cap[e]:
+                    w = head[e]
+                    if level[w] < 0:
+                        level[w] = depth
+                        queue.append(w)
+            if level[t] >= 0:
+                break
+        else:
             return total
+        for w in queue:
+            if level[w] == depth and w != t:
+                level[w] = -1
+
         it = [0] * n
-        path: list[tuple[int, int]] = []  # (node, arc index) along the walk
+        path: list[int] = []  # arc ids from the source to u
         u = s
         while True:
             if u == t:
-                push = min(arcs[x][i][1] for x, i in path)
-                for x, i in path:
-                    arc = arcs[x][i]
-                    arc[1] -= push
-                    arcs[arc[0]][arc[2]][1] += push
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
                 total += push
-                path = []
-                u = s
+                for i, e in enumerate(path):
+                    if not cap[e]:
+                        break
+                del path[i:]
+                u = head[e ^ 1]
                 continue
-            advanced = False
-            while it[u] < len(arcs[u]):
-                arc = arcs[u][it[u]]
-                if arc[1] > 0 and level[arc[0]] == level[u] + 1:
-                    path.append((u, it[u]))
-                    u = arc[0]
-                    advanced = True
+            lst = arcs[u]
+            i = it[u]
+            want = level[u] + 1
+            while i < len(lst):
+                e = lst[i]
+                if cap[e] and level[head[e]] == want:
                     break
-                it[u] += 1
-            if advanced:
+                i += 1
+            it[u] = i
+            if i < len(lst):
+                path.append(e)
+                u = head[e]
                 continue
             if u == s:
                 break  # blocking flow for this level graph is complete
             level[u] = -1
-            pu, pi = path.pop()
-            it[pu] += 1
-            u = pu
+            u = head[path.pop() ^ 1]
+            it[u] += 1
 
 
 def min_cut(net: FlowNetwork) -> CutResult:
@@ -181,20 +228,28 @@ def min_cut(net: FlowNetwork) -> CutResult:
 
     After the max flow, a node belongs to the largest min-cut source side iff
     it has no residual path to the sink; that set is computed by a reverse
-    scan from the sink over residual arcs. Consumes the network.
+    scan from the sink over residual arcs, which stops early once every
+    vertex node is known to reach the sink. Consumes the network.
     """
     flow = _max_flow(net)
-    arcs = net.arcs
+    head, cap, arcs = net.head, net.cap, net.arcs
+    first, stop = net.vertex_node(0), net.vertex_node(net.num_vertices)
+    unreached = net.num_vertices
     reaches_sink = [False] * len(arcs)
     reaches_sink[net.SINK] = True
-    queue = deque([net.SINK])
-    while queue:
-        x = queue.popleft()
-        for to, _cap, rev in arcs[x]:
-            # residual arc (to -> x) exists iff its stored capacity is positive
-            if not reaches_sink[to] and arcs[to][rev][1] > 0:
-                reaches_sink[to] = True
-                queue.append(to)
+    queue = [net.SINK]
+    for x in queue:
+        if not unreached:
+            break
+        for e in arcs[x]:
+            # e runs x -> head[e]; the residual arc head[e] -> x is its twin
+            if cap[e ^ 1]:
+                w = head[e]
+                if not reaches_sink[w]:
+                    reaches_sink[w] = True
+                    queue.append(w)
+                    if first <= w < stop:
+                        unreached -= 1
     side = tuple(v for v in range(net.num_vertices)
                  if not reaches_sink[net.vertex_node(v)])
     return CutResult(source_side=side, flow_value=Fraction(flow, net.den))
@@ -211,21 +266,20 @@ def derive_compact(g: Graph, cs: CliqueSet, rho: Fraction,
     return min_cut(build_network(g, cs, rho, boundary)).source_side
 
 
-def _is_component(g: Graph, inside: set[int], s: Sequence[int]) -> bool:
-    """Is s exactly a connected component of g restricted to ``inside``?"""
-    s_set = set(s)
-    if not s_set or not s_set <= inside:
+def _is_component(g: Graph, inside: set[int], s: set[int]) -> bool:
+    """Is the nonempty set s exactly a connected component of g restricted
+    to ``inside``?"""
+    if not s or not s <= inside:
         return False
-    start = min(s_set)
+    start = min(s)
     comp = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    queue = [start]
+    for v in queue:
         for w in g.adj[v]:
             if w in inside and w not in comp:
                 comp.add(w)
                 queue.append(w)
-    return comp == s_set
+    return comp == s
 
 
 def is_densest(g_s: Graph, cs_s: CliqueSet) -> bool:
@@ -242,21 +296,32 @@ def is_densest(g_s: Graph, cs_s: CliqueSet) -> bool:
     return derive_compact(g_s, cs_s, probe, ()) == ()
 
 
-def _check_connected(g: Graph, s: Sequence[int]) -> None:
+def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
+    """The candidate's vertex set; rejects an empty or disconnected one."""
     s_set = set(s)
     if not s_set:
         raise ValueError("empty candidate")
-    start = min(s_set)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in s_set and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != s_set:
+    if not _is_component(g, s_set, s_set):
         raise ValueError("candidate is not connected")
+    return s_set
+
+
+_DEAD = 1  # upper bound below rho: the vertex sits in no rho-compact set
+_HOT = 2   # lower bound above rho: the vertex extends a rho-compact superset
+
+
+class _BoundSide(dict):
+    """Each vertex's bounds compared with rho once, on first lookup: the value
+    is its _DEAD and _HOT flags, from exact compares."""
+
+    def __init__(self, bounds: Bounds, rho: Fraction):
+        super().__init__()
+        self.upper, self.lower, self.rho = bounds.upper, bounds.lower, rho
+
+    def __missing__(self, v: int) -> int:
+        flags = self[v] = (_DEAD if self.upper[v] < self.rho else 0) \
+            | (_HOT if self.lower[v] > self.rho else 0)
+        return flags
 
 
 def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
@@ -266,11 +331,10 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
     (shifted by -1/|V|^2) and accepts iff G[s] is exactly one of the connected
     components of the result.
     """
-    _check_connected(g, s)
-    s_set = set(s)
+    s_set = _candidate_set(g, s)
     rho = Fraction(cs.count_within(s_set), len(s_set))
     compact = derive_compact(g, cs, rho - Fraction(1, g.n * g.n), ())
-    return _is_component(g, set(compact), sorted(s_set))
+    return _is_component(g, set(compact), s_set)
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
@@ -289,79 +353,83 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     h/cnt, and must return G[s] as a connected component. Agrees with
     verify_basic on every input.
     """
-    _check_connected(g, s)
+    s_set = _candidate_set(g, s)
     if output_membership is None:
         output_membership = [False] * g.n
-    s_sorted = sorted(set(s))
-    s_set = set(s_sorted)
     rho = Fraction(cs.count_within(s_set), len(s_set))
-    upper, lower = bounds.upper, bounds.lower
+    side = _BoundSide(bounds, rho)
+    cliques = cs.cliques
     h = cs.h
 
-    in_t: set[int] = set()
+    in_t = bytearray(g.n)
+    t_list: list[int] = []
     queue: deque[int] = deque()
-    visited: set[int] = set()      # cliques already processed
+    visited = bytearray(len(cliques))  # cliques already processed
     suspected: list[int] = []      # cliques flagged as possibly straddling
     clean = True                   # nothing suspicious seen: early accept
     rejected = False               # certificate anchored at the candidate
 
-    for u in s_sorted:
-        if u in in_t:
+    for u in sorted(s_set):
+        if in_t[u]:
             continue
         queue.append(u)
-        in_t.add(u)
+        in_t[u] = 1
+        t_list.append(u)
         while queue:
             v = queue.popleft()
             v_in_s = v in s_set
             for cid in cs.incidence[v]:
-                if cid in visited:
+                if visited[cid]:
                     continue
-                visited.add(cid)
-                members = cs.cliques[cid]
-                if any(upper[w] < rho for w in members):
+                visited[cid] = 1
+                members = cliques[cid]
+                if any(side[w] & _DEAD for w in members):
                     continue  # a member can never sit in a rho-compact set
                 cnt = 1
                 for w in members:
                     if w == v:
                         continue
-                    if w not in in_t and output_membership[w]:
+                    if not in_t[w] and output_membership[w]:
                         clean = False
                         if v_in_s:
                             rejected = True
-                    if lower[w] <= rho:
-                        if w not in in_t:
-                            in_t.add(w)
+                    if not side[w] & _HOT:
+                        if not in_t[w]:
+                            in_t[w] = 1
+                            t_list.append(w)
                             queue.append(w)
                         cnt += 1
                 if cnt != h:
                     suspected.append(cid)
                     clean = False
             for w in g.adj[v]:
-                if w in in_t:
+                if in_t[w]:
                     continue
-                if lower[w] > rho:
+                flags = side[w]
+                if flags & _HOT:
                     clean = False
                     if v_in_s:
                         rejected = True
-                elif upper[w] >= rho:
-                    in_t.add(w)
+                elif not flags & _DEAD:
+                    in_t[w] = 1
+                    t_list.append(w)
                     queue.append(w)
-    if clean and len(in_t) == len(s_set):
+    if clean and len(t_list) == len(s_set):
         return True
     if rejected:
         return False
 
-    t_sorted = sorted(in_t)
+    t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}
     sub = induced_subgraph(g, t_sorted)
     sub_cs = restrict_cliques(cs, t_sorted)
     border: list[BoundaryClique] = []
     for cid in sorted(set(suspected)):
-        inside = tuple(pos[w] for w in cs.cliques[cid] if w in in_t)
+        inside = tuple(pos[w] for w in cliques[cid] if in_t[w])
         if len(inside) < h:  # cnt == h means the clique ended up interior
             border.append(BoundaryClique(clique_id=cid, cnt=len(inside),
                                          inside=inside))
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
     compact = derive_compact(sub, sub_cs, shifted, border)
     inside_orig = {t_sorted[i] for i in compact}
-    return _is_component(g, inside_orig, s_sorted)
+    return _is_component(g, inside_orig, s_set)

@@ -17,7 +17,7 @@ from lhcds import Graph
 
 
 def _arc_caps(net, u):
-    return {(a[0]): a[1] for a in net.arcs[u] if a[1] > 0}
+    return {net.head[e]: net.cap[e] for e in net.arcs[u] if net.cap[e] > 0}
 
 
 def test_network_construction_triangle():
@@ -88,9 +88,7 @@ def test_flow_value_scales_exactly():
     v2 = min_cut(build_network(g, cs, Fraction(14, 10))).flow_value
     assert v1 == v2  # same rational rho, possibly different denominators
     net = build_network(g, cs, Fraction(7, 5))
-    for lst in net.arcs:
-        for arc in lst:
-            arc[1] *= 2
+    net.cap[:] = [c * 2 for c in net.cap]
     doubled = flow_mod._max_flow(net)
     assert Fraction(doubled, net.den) == 2 * v1
 
