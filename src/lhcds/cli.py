@@ -15,7 +15,7 @@ import time
 
 from .graph import parse_edge_list
 from .oracle import oracle_lhcds
-from .pipeline import PipelineConfig, RunStats, ippv, ippv_pattern
+from .pipeline import PipelineConfig, ResultRecord, RunStats, ippv, ippv_pattern
 from .patterns import PATTERN_NAMES
 
 
@@ -85,9 +85,10 @@ def main(argv: list[str] | None = None) -> int:
                 print("lhcds: --oracle supports clique mode only", file=sys.stderr)
                 return 2
             found = oracle_lhcds(g, args.h)
-            records = [_OracleRecord(rank=i + 1,
-                                     vertices=tuple(sorted(g.labels[v] for v in vs)),
-                                     clique_count=int(d * len(vs)))
+            records = [ResultRecord(rank=i + 1,
+                                    vertices=tuple(sorted(g.labels[v] for v in vs)),
+                                    members=vs, clique_count=int(d * len(vs)),
+                                    density=d)
                        for i, (vs, d) in enumerate(found[:args.k])]
         else:
             cfg = PipelineConfig(h=args.h, k=args.k, iterations=args.iterations,
@@ -116,15 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(payload), file=sys.stderr)
     return 0
-
-
-class _OracleRecord:
-    """Duck-typed record for --oracle output."""
-
-    def __init__(self, rank: int, vertices: tuple[int, ...], clique_count: int):
-        self.rank = rank
-        self.vertices = vertices
-        self.clique_count = clique_count
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph, degeneracy_order
 
@@ -45,11 +45,6 @@ class CliqueSet:
                 if all(u in members for u in self.cliques[cid]):
                     total += 1
         return total
-
-    def dump(self, fp: IO[str]) -> None:
-        """Debug dump: one clique per line, space-separated internal ids."""
-        for clique in self.cliques:
-            fp.write(" ".join(map(str, clique)) + "\n")
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:

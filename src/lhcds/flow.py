@@ -282,18 +282,37 @@ def _is_component(g: Graph, inside: set[int], s: set[int]) -> bool:
     return comp == s
 
 
-def is_densest(g_s: Graph, cs_s: CliqueSet) -> bool:
-    """No proper subgraph of g_s has strictly larger h-clique density.
+def denser_part(g_s: Graph, cs_s: CliqueSet) -> VertexSet:
+    """The vertices of g_s whose compact number in g_s exceeds its density.
 
     Distinct densities over at most |S| vertices differ by at least 1/|S|^2,
-    so probing at density + 1/(2|S|^2) separates exactly: the candidate is
-    self-densest iff nothing survives.
+    so the compact union T at the probe density + 1/(2|S|^2) is exactly that
+    set, and it is empty iff g_s is self-densest.
+
+    T splits a candidate S that is not self-densest without losing any
+    locally densest subgraph of the host graph G:
+
+    - Let R be an LhCDS of G inside S. Every member of R has compact number
+      d(R) in G.
+    - In G[S] its members' compact numbers are at most d(R), because G[S] is
+      a subgraph of G. They are at least d(R), because R is inside S. So
+      they equal d(R).
+    - R therefore lies wholly in T or wholly in S - T, since no density falls
+      strictly between d(S) and the probe.
+    - Every piece of the split is strictly smaller than S (T is nonempty,
+      and it is not all of S because compact numbers in G[S] average to
+      d(S)), so a driver that replaces S by its pieces ends.
     """
     if g_s.n == 0:
         raise ValueError("empty candidate")
     d = Fraction(len(cs_s.cliques), g_s.n)
     probe = d + Fraction(1, 2 * g_s.n * g_s.n)
-    return derive_compact(g_s, cs_s, probe, ()) == ()
+    return derive_compact(g_s, cs_s, probe, ())
+
+
+def is_densest(g_s: Graph, cs_s: CliqueSet) -> bool:
+    """No proper subgraph of g_s has strictly larger h-clique density."""
+    return not denser_part(g_s, cs_s)
 
 
 def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:

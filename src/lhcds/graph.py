@@ -130,22 +130,31 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
                  labels=tuple(g.labels[v] for v in members))
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Partition V into maximal connected sets, ordered by smallest member."""
-    seen = [False] * g.n
+def connected_components(g: Graph, members: Iterable[int] | None = None
+                         ) -> list[VertexSet]:
+    """Partition ``members`` (default: all of V) into the maximal connected
+    sets of g restricted to them, ordered by smallest member."""
+    if members is None:
+        starts: Iterable[int] = range(g.n)
+        unseen = bytearray(b"\1") * g.n
+    else:
+        starts = sorted(set(members))
+        unseen = bytearray(g.n)
+        for v in starts:
+            unseen[v] = 1
     comps: list[VertexSet] = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in starts:
+        if not unseen[start]:
             continue
-        seen[start] = True
+        unseen[start] = 0
         stack = [start]
         comp = []
         while stack:
             v = stack.pop()
             comp.append(v)
             for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if unseen[w]:
+                    unseen[w] = 0
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps

@@ -72,7 +72,6 @@ def enumerate_patterns(g: Graph, pattern_id: str) -> PatternSet:
         return _finish(pattern_id, g.n, raw)
 
     if pattern_id == "4path":
-        adj_sets = [set(a) for a in g.adj]
         for b in range(g.n):
             for c in g.adj[b]:
                 for a in g.adj[b]:

@@ -6,16 +6,22 @@ and pushes the surviving candidates onto a stack so that the densest comes
 off first. The popped candidate is accepted only if it is self-densest and a
 maximal compact component of the whole input graph; a candidate that is
 self-densest but fails maximality intersects no locally densest subgraph and
-is discarded, while one that is not self-densest becomes the next working
-graph and is decomposed further. Every emission is gated by the exact flow
-verification, so the output is exact regardless of how approximate the
-proposals are.
+is discarded, while one that is not self-densest is split by its flow
+witness and its pieces go back on the stack. Every emission is gated by the
+exact flow verification, so the output is exact regardless of how
+approximate the proposals are.
 
 Deviations from a purely literal driver, both exactness-preserving:
 stable groups are split into their connected components before stacking
-(disconnected equal-density plateaus would otherwise cycle forever), and the
-iteration count doubles whenever re-proposing a failed candidate reproduces
-it unchanged (the proposal needs more precision to separate it).
+(disconnected equal-density plateaus would otherwise cycle forever), and a
+candidate S that is not self-densest is not proposed again. Instead the
+connected components of T and of S - T go on the stack, where T is the set
+of vertices whose compact number in G[S] exceeds the density of S
+(``flow.denser_part``). Every locally densest subgraph inside S lies wholly
+in one of those pieces, and each piece is strictly smaller than S. A popped
+candidate is thus accepted, discarded or replaced by strictly smaller sets,
+and a proposal on a working set yields subsets of it, so the driver ends on
+every input at a fixed iteration count.
 
 Bound bookkeeping: the global bound arrays always stay valid for the input
 graph. Lower bounds tighten from every round (a lower bound on a subgraph's
@@ -27,18 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .cliques import Bounds, CliqueSet, clique_core_numbers, enumerate_cliques, \
     initialize_bounds, restrict_cliques
-from .flow import is_densest, verify_basic, verify_fast
-from .graph import Graph, VertexSet, induced_subgraph
+from .flow import denser_part, is_densest, verify_basic, verify_fast
+from .graph import Graph, VertexSet, connected_components, induced_subgraph
 from .patterns import enumerate_patterns
 from .proposal import derive_stable_groups, tentative_decomposition
 from .pruning import prune
 from .weights import init_weights, run_iterations
-
-_STALL_LIMIT = 24  # doublings of the iteration count before giving up
 
 
 @dataclass
@@ -89,7 +93,7 @@ class RunStats:
     verify_calls: int = 0
     verify_disagreements: int = 0
     emitted: int = 0
-    max_iterations_used: int = 0
+    max_iterations_used: int = 0  # cfg.iterations: the count never changes
 
     @property
     def flow_calls(self) -> int:
@@ -103,7 +107,6 @@ class RoundEvent:
 
     index: int
     working: VertexSet
-    iterations_used: int
     candidates: list[VertexSet]
     pruned: VertexSet
     upper: list
@@ -154,33 +157,18 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     emitted_flag = [False] * n
     results: list[ResultRecord] = []
     stack: list[_Candidate] = []
-    failed_densest: set[frozenset] = set()
-    stall: dict[frozenset, int] = {}
     work: VertexSet = tuple(range(n))
     k_left = cfg.k
+    stats.max_iterations_used = cfg.iterations
 
     while cfg.emit_all or k_left > 0:
         stats.rounds += 1
-        wkey = frozenset(work)
-        t_rounds = cfg.iterations << stall.get(wkey, 0)
-        stats.max_iterations_used = max(stats.max_iterations_used, t_rounds)
-
-        candidates, pruned = _propose_round(g, cs, work, t_rounds, bounds)
+        candidates, pruned = _propose_round(g, cs, work, cfg.iterations, bounds)
         stats.candidates_proposed += len(candidates)
         stats.pruned_vertices += len(pruned)
 
-        if (len(candidates) == 1 and candidates[0].vertices == work
-                and wkey in failed_densest):
-            stall[wkey] = stall.get(wkey, 0) + 1
-            if stall[wkey] > _STALL_LIMIT:
-                raise RuntimeError(
-                    "proposal failed to separate a non-self-densest candidate "
-                    f"after {_STALL_LIMIT} iteration doublings")
-            continue
-
         if on_round is not None:
             on_round(RoundEvent(index=stats.rounds, working=work,
-                                iterations_used=t_rounds,
                                 candidates=[c.vertices for c in candidates],
                                 pruned=pruned,
                                 upper=list(bounds.upper),
@@ -206,13 +194,15 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
                     density=current.density))
                 stats.emitted += 1
                 k_left -= 1
-            nxt = _pop_positive(stack, stats)
-            if nxt is None:
-                break
-            work = nxt.vertices
         else:
-            failed_densest.add(frozenset(current.vertices))
-            work = current.vertices
+            inner = denser_part(sub, sub_cs)
+            outer = set(range(sub.n)).difference(inner)
+            stack.extend(reversed(_as_candidates(
+                sub, sub_cs, current.vertices, (inner, outer))))
+        nxt = _pop_positive(stack, stats)
+        if nxt is None:
+            break
+        work = nxt.vertices
     return results
 
 
@@ -244,38 +234,25 @@ def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
     survivor_set = set(surviving)
     pruned = tuple(work[i] for i in range(len(work)) if i not in survivor_set)
 
+    return _as_candidates(g_work, cs_work, work,
+                          [cand.vertices for cand in kept]), pruned
+
+
+def _as_candidates(g_work: Graph, cs_work: CliqueSet, work: VertexSet,
+                   parts: Iterable[Iterable[int]]) -> list[_Candidate]:
+    """The connected components of each part of the working graph, as
+    candidates in the host graph's id space, densest-first (ties by smallest
+    vertex id)."""
     out: list[_Candidate] = []
-    for cand in kept:
-        for comp in _components_within(g_work, cand.vertices):
+    for part in parts:
+        for comp in connected_components(g_work, part):
             count = cs_work.count_within(set(comp))
             out.append(_Candidate(
                 vertices=tuple(work[i] for i in comp),
                 clique_count=count,
                 density=Fraction(count, len(comp))))
     out.sort(key=lambda c: (-c.density, c.vertices))
-    return out, pruned
-
-
-def _components_within(g: Graph, members: Sequence[int]) -> list[VertexSet]:
-    """Connected components of g restricted to ``members``, by smallest id."""
-    member_set = set(members)
-    seen: set[int] = set()
-    comps: list[VertexSet] = []
-    for start in sorted(member_set):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-                    comp.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    return out
 
 
 def _pop_positive(stack: list[_Candidate], stats: RunStats) -> _Candidate | None:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lhcds import Graph
+from lhcds import Graph, parse_edge_list
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -64,6 +64,33 @@ def thirteen_triangles() -> Graph:
 def gnp(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def planted(seed: int, n: int, m: int, blocks: int, size_lo: int,
+            size_hi: int, p: float) -> Graph:
+    """Disjoint blocks of size_lo..size_hi random vertices, each pair inside
+    a block joined with probability p, then uniform edges until m edges.
+
+    Parsed from its edge list like the CLI input, so vertices no edge touches
+    are dropped and the rest keep their relative order.
+    """
+    rng = random.Random(seed)
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    edges = set()
+    at = 0
+    for _ in range(blocks):
+        size = rng.randint(size_lo, size_hi)
+        block = sorted(vertices[at:at + size])
+        at += size
+        for u, v in combinations(block, 2):
+            if rng.random() < p:
+                edges.add((u, v))
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return parse_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
 def suite_graphs(seed: int = 20260810, count: int = 200):

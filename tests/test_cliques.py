@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -37,12 +36,6 @@ def test_clique_list_sorted_unique_and_indexed():
     assert cs.degree == [6] * 5  # C(4,2) triangles per K5 vertex
     for v in range(5):
         assert all(v in cs.cliques[c] for c in cs.incidence[v])
-
-
-def test_dump_format():
-    buf = io.StringIO()
-    enumerate_cliques(triangle(), 3).dump(buf)
-    assert buf.getvalue() == "0 1 2\n"
 
 
 @given(st.integers(0, 300), st.integers(2, 9), st.sampled_from([2, 3, 4]))

@@ -5,9 +5,10 @@ import pytest
 
 import lhcds.flow as flow_mod
 from lhcds import (BoundaryClique, build_network, clique_core_numbers,
-                   derive_compact, enumerate_cliques, induced_subgraph,
-                   initialize_bounds, is_densest, min_cut, oracle_compactness,
-                   restrict_cliques, verify_basic, verify_fast)
+                   connected_components, derive_compact, enumerate_cliques,
+                   induced_subgraph, initialize_bounds, is_densest, min_cut,
+                   oracle_compactness, restrict_cliques, verify_basic,
+                   verify_fast)
 from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
                           _instance_count_by_mask, _mask_to_tuple)
 from helpers import (clique_edges, gnp, k4_pendant, k5_k4_bridge_edge, k_n,
@@ -126,14 +127,9 @@ def test_derive_compact_matches_subset_oracle():
                         want |= set(_mask_to_tuple(m))
                 assert got == want
                 # every component of the result is rho-compact
-                for piece in _components(g, got):
+                for piece in connected_components(g, got):
                     assert oracle_compactness(
                         induced_subgraph(g, piece), h) >= rho
-
-
-def _components(g, inside):
-    from lhcds.pipeline import _components_within
-    return _components_within(g, sorted(inside))
 
 
 def test_is_densest():
@@ -209,7 +205,6 @@ def test_fast_equals_basic_on_self_densest_candidates():
             cs = enumerate_cliques(g, h)
             bounds = initialize_bounds(clique_core_numbers(g, cs), h)
             # sample connected candidate sets; keep the self-densest ones
-            from lhcds import connected_components
             for comp in connected_components(g):
                 for _ in range(4):
                     size = rng.randint(1, len(comp))

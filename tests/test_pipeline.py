@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (PipelineConfig, RunStats, ippv, ippv_pattern, oracle_lhcds)
-from helpers import (gnp, k_n, path_n, star, thirteen_triangles, triangle,
-                     two_k4_bridge_vertex)
+from lhcds import (PipelineConfig, RunStats, enumerate_cliques, ippv,
+                   ippv_pattern, oracle_lhcds, verify_basic)
+from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
+                     triangle, two_k4_bridge_vertex)
 
 
 def _members(records):
@@ -121,3 +122,33 @@ def test_pattern_star():
 def test_pattern_unsupported():
     with pytest.raises(ValueError):
         ippv_pattern(triangle(), "hexagon", PipelineConfig())
+
+
+def _assert_terminates(g, cfg):
+    """Runs the query (its caller's 10 s limit is about 20x the measured
+    time); every emitted set must pass whole-graph verification, and every
+    round must have fired on_round."""
+    stats = RunStats()
+    events = []
+    got = ippv(g, cfg, stats=stats, on_round=events.append)
+    assert got
+    cs = enumerate_cliques(g, cfg.h)
+    assert all(verify_basic(g, cs, r.members) for r in got)
+    assert len(events) == stats.rounds
+    assert stats.max_iterations_used == cfg.iterations
+
+
+@pytest.mark.time_limit(10)
+def test_terminates_on_non_self_densest_working_set():
+    # Here the proposal returns an 87-vertex working set of density 52/29,
+    # which is not self-densest, as one stable group at any iteration count;
+    # only splitting it by its flow witness gets past it.
+    g = planted(1, n=1500, m=10_000, blocks=20, size_lo=6, size_hi=14, p=0.7)
+    _assert_terminates(g, PipelineConfig(h=3, k=10))
+
+
+@pytest.mark.time_limit(10)
+@pytest.mark.parametrize("seed", [1, 4, 5, 8, 9])
+def test_terminates_emit_all_planted(seed):
+    g = planted(seed, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
+    _assert_terminates(g, PipelineConfig(h=3, k=1, emit_all=True))
