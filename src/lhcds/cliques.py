@@ -8,9 +8,9 @@ to later in peeling order) with recursive neighborhood intersection.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .graph import Graph, degeneracy_order
@@ -97,52 +97,95 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     """Cliques of cs lying entirely inside ``members``, relabeled to 0..k-1.
 
     Relabeling follows the sorted member order, so lexicographic clique order
-    (and hence ids) stays deterministic.
+    (and hence ids) stays deterministic. When ``members`` covers every vertex
+    the relabeling is the identity and ``cs`` itself is returned.
     """
     mlist = sorted(set(members))
+    if len(mlist) == len(cs.degree):
+        return cs
     pos = {v: i for i, v in enumerate(mlist)}
-    seen: set[int] = set()
+    get = pos.get
+    cliques = cs.cliques
     kept: list[tuple[int, ...]] = []
+    # a clique's smallest member comes first, so the cliques led by v are
+    # one contiguous id range; walking members in order keeps kept sorted
     for v in mlist:
-        for cid in cs.incidence[v]:
-            if cid in seen:
-                continue
-            seen.add(cid)
-            clique = cs.cliques[cid]
-            if all(u in pos for u in clique):
-                kept.append(tuple(pos[u] for u in clique))
+        lo = bisect_left(cliques, (v,))
+        hi = bisect_left(cliques, (v + 1,), lo)
+        for cid in range(lo, hi):
+            mapped = tuple(map(get, cliques[cid]))
+            if None not in mapped:
+                kept.append(mapped)
     return _index_cliques(cs.h, kept, len(mlist))
 
 
-def clique_core_numbers(g: Graph, cs: CliqueSet) -> list[int]:
+def clique_core_numbers(g: Graph, cs: CliqueSet,
+                        alive: Sequence[int] | None = None) -> list[int]:
     """Per-vertex h-clique-core numbers by minimum-clique-degree peeling.
 
     core[u] is the largest k such that u survives in the subgraph where every
-    vertex lies in at least k live cliques. Ties peel smallest id first.
+    vertex lies in at least k live cliques. With an ``alive`` mask, only the
+    vertices v with a true ``alive[v]`` take part: a clique with a dead member
+    does not count, and dead vertices get core 0. Peeling runs over degree
+    buckets (Batagelj and Zaversnik); core numbers do not depend on the order
+    in which equal-degree vertices peel.
     """
+    n = g.n
+    cliques = cs.cliques
+    incidence = cs.incidence
     deg = list(cs.degree)
-    alive_clique = [True] * len(cs.cliques)
-    removed = [False] * g.n
-    core = [0] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
-    heap.sort()
-    level = 0
-    while heap:
-        d, v = heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        level = max(level, d)
-        core[v] = level
-        for cid in cs.incidence[v]:
-            if not alive_clique[cid]:
+    live = bytearray(b"\1") * len(cliques)
+    if alive is None:
+        verts: Sequence[int] = range(n)
+    else:
+        verts = [v for v in range(n) if alive[v]]
+        for v in range(n):
+            if alive[v]:
                 continue
-            alive_clique[cid] = False
-            for u in cs.cliques[cid]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    heappush(heap, (deg[u], u))
-    return core
+            for cid in incidence[v]:
+                if live[cid]:
+                    live[cid] = 0
+                    for u in cliques[cid]:
+                        deg[u] -= 1
+
+    # vert lists the vertices by current degree; bin[d] is where degree d
+    # starts in it and pos[v] is v's index
+    top = max((deg[v] for v in verts), default=0)
+    bin_ = [0] * (top + 2)
+    for v in verts:
+        bin_[deg[v] + 1] += 1
+    for d in range(1, top + 2):
+        bin_[d] += bin_[d - 1]
+    pos = [0] * n
+    vert = [0] * len(verts)
+    fill = bin_[:]
+    for v in verts:
+        i = fill[deg[v]]
+        fill[deg[v]] = i + 1
+        pos[v] = i
+        vert[i] = v
+
+    for v in vert:
+        dv = deg[v]
+        for cid in incidence[v]:
+            if not live[cid]:
+                continue
+            live[cid] = 0
+            for u in cliques[cid]:
+                du = deg[u]
+                if du > dv:
+                    # move u to the front of its bucket, then shrink the bucket
+                    pu = pos[u]
+                    pw = bin_[du]
+                    w = vert[pw]
+                    if w != u:
+                        vert[pu] = w
+                        pos[w] = pu
+                        vert[pw] = u
+                        pos[u] = pw
+                    bin_[du] = pw + 1
+                    deg[u] = du - 1
+    return deg
 
 
 @dataclass

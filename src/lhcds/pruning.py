@@ -1,9 +1,11 @@
 """Removal of vertices that provably belong to no locally densest subgraph.
 
-Two rules, applied to a copy of the working graph: a vertex v falls when an
+Two rules, on an alive mask over the working graph: a vertex v falls when an
 edge (u, v) has lower[u] strictly above upper[v], and, after recomputing
-clique cores on the survivor graph, when a vertex's core drops below its own
-lower bound (repeated to a fixed point). Bound comparisons leave one float
+clique cores over the cliques whose members are all alive, when a vertex's
+core drops below its own lower bound (repeated to a fixed point; removing a
+vertex can only lower cores, so the fixed point is the largest vertex set on
+which every core meets its lower bound). Bound comparisons leave one float
 ulp of slack toward keeping: a missed removal only costs time, a wrong one
 breaks exactness.
 """
@@ -13,7 +15,8 @@ from __future__ import annotations
 import math
 
 from .cliques import Bounds, BoundValue, CliqueSet, clique_core_numbers, \
-    enumerate_cliques, restrict_cliques
+    enumerate_cliques
+from .cliques import restrict_cliques  # noqa: F401  (perfbench traces it here)
 from .graph import Graph, VertexSet, induced_subgraph
 from .proposal import CandidateGroup
 
@@ -35,25 +38,25 @@ def prune(g: Graph, candidates: list[CandidateGroup], bounds: Bounds,
     if cs is None:
         cs = enumerate_cliques(g, h)
 
-    alive = [True] * g.n
+    # definitely_less compares floats, so convert each bound once
+    upper = [float(x) for x in bounds.upper]
+    lower = [float(x) for x in bounds.lower]
+    alive = bytearray(b"\1") * g.n
     for v in range(g.n):
-        uv = bounds.upper[v]
+        uv = upper[v]
         for u in g.adj[v]:
-            if definitely_less(uv, bounds.lower[u]):
-                alive[v] = False
+            if definitely_less(uv, lower[u]):
+                alive[v] = 0
                 break
 
     # cascade: recompute cores among survivors until no vertex sits below
     # its own lower bound
     while True:
-        survivors = [v for v in range(g.n) if alive[v]]
-        sub_cs = restrict_cliques(cs, survivors)
-        sub_g = induced_subgraph(g, survivors)
-        core = clique_core_numbers(sub_g, sub_cs)
+        core = clique_core_numbers(g, cs, alive)
         dropped = False
-        for i, v in enumerate(survivors):
-            if definitely_less(core[i], bounds.lower[v]):
-                alive[v] = False
+        for v in range(g.n):
+            if alive[v] and definitely_less(core[v], lower[v]):
+                alive[v] = 0
                 dropped = True
         if not dropped:
             break

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lhcds import Graph, parse_edge_list
+from lhcds import (Graph, clique_core_numbers, definitely_less,
+                   induced_subgraph, parse_edge_list, restrict_cliques)
+from lhcds.proposal import CandidateGroup
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -91,6 +93,58 @@ def planted(seed: int, n: int, m: int, blocks: int, size_lo: int,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return parse_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+
+
+def core_bruteforce(n: int, cliques) -> list[int]:
+    """Clique-core numbers by iterated k-cores: for k = 1, 2, ..., drop every
+    vertex that lies in fewer than k cliques inside the current set until
+    none does; a vertex's core is the last k whose k-core holds it."""
+    core = [0] * n
+    inside = set(range(n))
+    k = 1
+    while inside:
+        while True:
+            deg = dict.fromkeys(inside, 0)
+            for c in cliques:
+                if all(u in inside for u in c):
+                    for u in c:
+                        deg[u] += 1
+            low = {v for v in inside if deg[v] < k}
+            if not low:
+                break
+            inside -= low
+        for v in inside:
+            core[v] = k
+        k += 1
+    return core
+
+
+def prune_rebuild(g: Graph, candidates, bounds, cs):
+    """The pruning rules with the core cascade run by rebuilding: every pass
+    restricts the clique set and the graph to the survivors and peels their
+    cores from scratch. Returns the kept groups and the surviving ids."""
+    alive = [True] * g.n
+    for v in range(g.n):
+        if any(definitely_less(bounds.upper[v], bounds.lower[u])
+               for u in g.adj[v]):
+            alive[v] = False
+    while True:
+        survivors = [v for v in range(g.n) if alive[v]]
+        core = clique_core_numbers(induced_subgraph(g, survivors),
+                                   restrict_cliques(cs, survivors))
+        dropped = [v for i, v in enumerate(survivors)
+                   if definitely_less(core[i], bounds.lower[v])]
+        if not dropped:
+            break
+        for v in dropped:
+            alive[v] = False
+    kept = []
+    for cand in candidates:
+        vs = tuple(v for v in cand.vertices if alive[v])
+        if vs:
+            kept.append(CandidateGroup(vertices=vs, load_min=cand.load_min,
+                                       load_max=cand.load_max))
+    return kept, tuple(v for v in range(g.n) if alive[v])
 
 
 def suite_graphs(seed: int = 20260810, count: int = 200):

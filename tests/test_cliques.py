@@ -5,9 +5,27 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from lhcds import (clique_core_numbers, enumerate_cliques, initialize_bounds,
-                   oracle_compact_numbers, restrict_cliques)
-from helpers import gnp, k_n, path_n, triangle, two_k4_bridge_edge
+from lhcds import (clique_core_numbers, enumerate_cliques, enumerate_patterns,
+                   induced_subgraph, initialize_bounds, oracle_compact_numbers,
+                   restrict_cliques)
+from helpers import (core_bruteforce, gnp, k_n, path_n, triangle,
+                     two_k4_bridge_edge)
+
+# clique sizes, and two pattern sets whose member quadruples repeat
+INSTANCE_KINDS = [2, 3, 4, "diamond", "3star"]
+
+
+def _instances(g, kind):
+    if isinstance(kind, int):
+        return enumerate_cliques(g, kind)
+    return enumerate_patterns(g, kind)
+
+
+def _seeded_sets(kind, count=12):
+    rng = random.Random(f"cores-{kind}")
+    for _ in range(count):
+        g = gnp(rng, rng.randint(4, 13), rng.choice([0.3, 0.5, 0.7]))
+        yield rng, g, _instances(g, kind)
 
 
 def test_counts_on_complete_graphs():
@@ -98,6 +116,48 @@ def test_core_vertices_retain_core_degree():
             inside = sorted(v for v in range(g.n) if core[v] >= k)
             sub = restrict_cliques(cs, inside)
             assert all(d >= k for d in sub.degree)
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_core_numbers_match_iterated_k_core(kind):
+    repeats = 0
+    for _rng, g, cs in _seeded_sets(kind):
+        assert clique_core_numbers(g, cs) == core_bruteforce(g.n, cs.cliques)
+        repeats += len(cs.cliques) - len(set(cs.cliques))
+    if kind in ("diamond", "3star"):
+        assert repeats > 0
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_core_numbers_under_alive_mask(kind):
+    for rng, g, cs in _seeded_sets(kind):
+        alive = bytearray(rng.random() < 0.7 for _ in range(g.n))
+        survivors = [v for v in range(g.n) if alive[v]]
+        want = clique_core_numbers(induced_subgraph(g, survivors),
+                                   restrict_cliques(cs, survivors))
+        core = clique_core_numbers(g, cs, alive)
+        assert [core[v] for v in survivors] == want
+        assert all(core[v] == 0 for v in range(g.n) if not alive[v])
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_restrict_cliques_matches_bruteforce(kind):
+    for rng, g, cs in _seeded_sets(kind):
+        subsets = [rng.sample(range(g.n), rng.randint(1, g.n))
+                   for _ in range(4)] + [[]]
+        for members in subsets:
+            pos = {v: i for i, v in enumerate(sorted(members))}
+            want = sorted(tuple(pos[u] for u in c) for c in cs.cliques
+                          if all(u in pos for u in c))
+            sub = restrict_cliques(cs, members + members[:2])
+            assert sub.cliques == want  # sorted, repeats kept
+            assert sub.degree == [sum(i in c for c in want)
+                                  for i in range(len(pos))]
+            assert sub.incidence == [[cid for cid, c in enumerate(want) if i in c]
+                                     for i in range(len(pos))]
+        everyone = list(range(g.n))
+        rng.shuffle(everyone)
+        assert restrict_cliques(cs, everyone + everyone[:3]) is cs
 
 
 def test_restrict_cliques_matches_reenumeration():

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
 
-from lhcds import Bounds, Graph, enumerate_cliques, prune
+import pytest
+
+from lhcds import (Bounds, Graph, clique_core_numbers, derive_stable_groups,
+                   enumerate_cliques, induced_subgraph, init_weights,
+                   initialize_bounds, prune, run_iterations,
+                   tentative_decomposition)
 from lhcds.proposal import CandidateGroup
-from helpers import clique_edges, k_n
+from helpers import clique_edges, k_n, planted, prune_rebuild
 
 
 def _bounds(n, upper, lower):
@@ -40,6 +46,21 @@ def test_core_cascade():
     assert 9 not in surviving and 11 not in surviving    # edge rule
     assert 8 not in surviving and 10 not in surviving    # core cascade
     assert set(range(8)) <= set(surviving)
+
+
+def test_cascade_reaches_fixed_point():
+    # a K4 {0..3} and a 6-cycle through its vertex 3, at h=2. Each pass
+    # drops one layer: 0 (core 3, lower 4), then the triangle left behind
+    # (core 2, lower 3), then the path left of the cycle (core 1, lower 2)
+    cycle = [3, 4, 5, 6, 7, 8]
+    edges = clique_edges(range(4)) + [(cycle[i], cycle[(i + 1) % 6])
+                                      for i in range(6)]
+    g = Graph.from_edges(9, edges)
+    b = _bounds(9, upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
+    cands = [CandidateGroup(vertices=tuple(range(9)), load_min=0.0, load_max=2.0)]
+    kept, pruned_graph, surviving = prune(g, cands, b, 2)
+    assert surviving == () and kept == []
+    assert prune_rebuild(g, cands, b, enumerate_cliques(g, 2)) == ([], ())
 
 
 def test_uniform_graph_untouched():
@@ -80,3 +101,26 @@ def test_near_tie_not_pruned():
     cands = [CandidateGroup(vertices=(0, 1), load_min=0.0, load_max=1.0)]
     kept, pruned_graph, surviving = prune(g, cands, b, 2)
     assert surviving == (0, 1)
+
+
+@pytest.mark.time_limit(10)  # each case took under 1 s when measured
+@pytest.mark.parametrize("seed", range(20))
+def test_prune_matches_rebuild_cascade(seed):
+    # a 30-300-vertex planted graph, pruned with the groups and bounds of a
+    # whole-graph propose round, as the driver's first round does
+    rng = random.Random(seed)
+    n = rng.randint(30, 300)
+    blocks = max(1, n // 25)
+    h = rng.choice([2, 3, 4])
+    g = planted(seed, n=n, m=blocks * 17 + n, blocks=blocks, size_lo=5,
+                size_hi=9, p=0.8)
+    cs = enumerate_cliques(g, h)
+    bounds = initialize_bounds(clique_core_numbers(g, cs), h)
+    partition, ws = tentative_decomposition(g, cs,
+                                            run_iterations(init_weights(cs), 20))
+    groups, local = derive_stable_groups(partition, ws, cs, bounds)
+    kept, pruned_graph, surviving = prune(g, groups, local, h, cs)
+    want_kept, want_surviving = prune_rebuild(g, groups, local, cs)
+    assert surviving == want_surviving
+    assert kept == want_kept
+    assert pruned_graph == induced_subgraph(g, want_surviving)
