@@ -17,29 +17,27 @@ from .flow import (BoundaryClique, CutResult, FlowNetwork, build_network,
                    derive_compact, is_densest, min_cut, verify_basic, verify_fast)
 from .graph import (Graph, VertexSet, connected_components, degeneracy_order,
                     induced_subgraph, parse_edge_list)
-from .oracle import (compact_numbers, compactness, lhcds_enumeration,
-                     oracle_compact_numbers, oracle_compactness, oracle_lhcds)
+from .oracle import (compact_numbers, compactness, oracle_compact_numbers,
+                     oracle_compactness, oracle_lhcds)
 from .patterns import PATTERN_NAMES, PatternSet, enumerate_patterns, pattern_density
 from .pipeline import (PipelineConfig, ResultRecord, RoundEvent, RunStats,
                        ippv, ippv_pattern)
-from .proposal import (CandidateGroup, Partition, derive_stable_groups,
-                       is_stable_group, tentative_decomposition)
+from .proposal import Partition, derive_stable_groups, tentative_decomposition
 from .pruning import definitely_less, prune
 from .weights import WeightState, init_weights, objective, run_iterations
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds", "BoundaryClique", "CandidateGroup", "CliqueSet", "CutResult",
-    "FlowNetwork", "Graph", "PATTERN_NAMES", "Partition", "PatternSet",
-    "PipelineConfig", "ResultRecord", "RoundEvent", "RunStats", "VertexSet",
-    "WeightState", "build_network", "clique_core_numbers", "compact_numbers",
-    "compactness", "connected_components", "definitely_less", "degeneracy_order",
+    "Bounds", "BoundaryClique", "CliqueSet", "CutResult", "FlowNetwork",
+    "Graph", "PATTERN_NAMES", "Partition", "PatternSet", "PipelineConfig",
+    "ResultRecord", "RoundEvent", "RunStats", "VertexSet", "WeightState",
+    "build_network", "clique_core_numbers", "compact_numbers", "compactness",
+    "connected_components", "definitely_less", "degeneracy_order",
     "derive_compact", "derive_stable_groups", "enumerate_cliques",
     "enumerate_patterns", "induced_subgraph", "init_weights", "initialize_bounds",
-    "ippv", "ippv_pattern", "is_densest", "is_stable_group", "lhcds_enumeration",
-    "min_cut", "objective", "oracle_compact_numbers", "oracle_compactness",
-    "oracle_lhcds", "parse_edge_list", "pattern_density", "prune",
-    "restrict_cliques", "run_iterations", "tentative_decomposition",
-    "verify_basic", "verify_fast",
+    "ippv", "ippv_pattern", "is_densest", "min_cut", "objective",
+    "oracle_compact_numbers", "oracle_compactness", "oracle_lhcds",
+    "parse_edge_list", "pattern_density", "prune", "restrict_cliques",
+    "run_iterations", "tentative_decomposition", "verify_basic", "verify_fast",
 ]

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
+from math import inf, nextafter
 from typing import Iterable, Sequence
 
 from .graph import Graph, degeneracy_order
-
-BoundValue = Fraction | float
 
 
 @dataclass
@@ -33,16 +31,24 @@ class CliqueSet:
     degree: list[int]
     incidence: list[list[int]]
 
+    def led_by(self, v: int) -> range:
+        """Ids of the cliques whose smallest member is v.
+
+        A clique's smallest member comes first and the list is sorted, so
+        they form one contiguous id range.
+        """
+        lo = bisect_left(self.cliques, (v,))
+        return range(lo, bisect_left(self.cliques, (v + 1,), lo))
+
     def count_within(self, members: set[int]) -> int:
-        """Number of cliques entirely inside ``members``."""
-        seen: set[int] = set()
+        """Number of cliques entirely inside ``members``; each is counted
+        at its smallest member."""
+        cliques = self.cliques
+        inside = members.__contains__
         total = 0
         for v in members:
-            for cid in self.incidence[v]:
-                if cid in seen:
-                    continue
-                seen.add(cid)
-                if all(u in members for u in self.cliques[cid]):
+            for cid in self.led_by(v):
+                if all(map(inside, cliques[cid])):
                     total += 1
         return total
 
@@ -107,12 +113,10 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     get = pos.get
     cliques = cs.cliques
     kept: list[tuple[int, ...]] = []
-    # a clique's smallest member comes first, so the cliques led by v are
-    # one contiguous id range; walking members in order keeps kept sorted
+    # each clique is met at its smallest member; walking members in order
+    # keeps kept sorted
     for v in mlist:
-        lo = bisect_left(cliques, (v,))
-        hi = bisect_left(cliques, (v + 1,), lo)
-        for cid in range(lo, hi):
+        for cid in cs.led_by(v):
             mapped = tuple(map(get, cliques[cid]))
             if None not in mapped:
                 kept.append(mapped)
@@ -190,24 +194,31 @@ def clique_core_numbers(g: Graph, cs: CliqueSet,
 
 @dataclass
 class Bounds:
-    """Per-vertex bounds on the h-clique compact number.
+    """Per-vertex bounds on the h-clique compact number, as floats rounded
+    outward: every upper bound is at or above the exact compact number and
+    every lower bound at or below it.
 
-    Values are exact Fractions when derived from core numbers and floats when
-    derived from approximate weight totals; floats carry a small drift
-    allowance applied at tightening time so that the stored interval stays
-    sound for the exact compact number. Mixed comparisons in Python are exact
-    (floats are dyadic rationals).
+    Core-derived bounds are rounded outward when they are seeded; bounds
+    derived from approximate weight totals carry a drift allowance, applied
+    at tightening time, that covers the round-off of the weight iteration.
     """
 
-    upper: list[BoundValue]
-    lower: list[BoundValue]
+    upper: list[float]
+    lower: list[float]
 
     def copy(self) -> "Bounds":
         return Bounds(upper=list(self.upper), lower=list(self.lower))
 
 
+def _div_down(c: int, h: int) -> float:
+    """The largest float at or below c / h."""
+    q = c / h  # correctly rounded, so at most one float step off
+    num, den = q.as_integer_ratio()
+    return q if num * h <= c * den else nextafter(q, -inf)
+
+
 def initialize_bounds(core: Sequence[int], h: int) -> Bounds:
-    """Initial bounds from core numbers: upper = core, lower = core / h."""
-    upper: list[BoundValue] = [Fraction(c) for c in core]
-    lower: list[BoundValue] = [Fraction(c, h) for c in core]
-    return Bounds(upper=upper, lower=lower)
+    """Initial bounds from core numbers: upper = core, lower = core / h
+    rounded down (core numbers themselves are exact as floats)."""
+    return Bounds(upper=[float(c) for c in core],
+                  lower=[_div_down(c, h) for c in core])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, nextafter
 from typing import Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
@@ -325,22 +325,16 @@ def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
     return s_set
 
 
-_DEAD = 1  # upper bound below rho: the vertex sits in no rho-compact set
-_HOT = 2   # lower bound above rho: the vertex extends a rho-compact superset
-
-
-class _BoundSide(dict):
-    """Each vertex's bounds compared with rho once, on first lookup: the value
-    is its _DEAD and _HOT flags, from exact compares."""
-
-    def __init__(self, bounds: Bounds, rho: Fraction):
-        super().__init__()
-        self.upper, self.lower, self.rho = bounds.upper, bounds.lower, rho
-
-    def __missing__(self, v: int) -> int:
-        flags = self[v] = (_DEAD if self.upper[v] < self.rho else 0) \
-            | (_HOT if self.lower[v] > self.rho else 0)
-        return flags
+def _float_bracket(rho: Fraction) -> tuple[float, float]:
+    """(dead_at, hot_at): the largest float below rho and the smallest float
+    above it. For a float x, x < rho iff x <= dead_at and x > rho iff
+    x >= hot_at."""
+    f = float(rho)
+    if f < rho:
+        return f, nextafter(f, inf)
+    if f > rho:
+        return nextafter(f, -inf), f
+    return nextafter(f, -inf), nextafter(f, inf)
 
 
 def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
@@ -371,12 +365,19 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     the flow check runs on G[T] with border cliques compensated at capacity
     h/cnt, and must return G[s] as a connected component. Agrees with
     verify_basic on every input.
+
+    The float bounds are compared with the exact density rho through two
+    thresholds computed once per call: a vertex is dead (upper bound below
+    rho) when its upper bound is at most the largest float below rho, and
+    hot (lower bound above rho) when its lower bound is at least the
+    smallest float above rho. For float bounds these are the exact compares.
     """
     s_set = _candidate_set(g, s)
     if output_membership is None:
         output_membership = [False] * g.n
     rho = Fraction(cs.count_within(s_set), len(s_set))
-    side = _BoundSide(bounds, rho)
+    dead_at, hot_at = _float_bracket(rho)
+    upper, lower = bounds.upper, bounds.lower
     cliques = cs.cliques
     h = cs.h
 
@@ -402,7 +403,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
                     continue
                 visited[cid] = 1
                 members = cliques[cid]
-                if any(side[w] & _DEAD for w in members):
+                if any(upper[w] <= dead_at for w in members):
                     continue  # a member can never sit in a rho-compact set
                 cnt = 1
                 for w in members:
@@ -412,7 +413,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
                         clean = False
                         if v_in_s:
                             rejected = True
-                    if not side[w] & _HOT:
+                    if lower[w] < hot_at:
                         if not in_t[w]:
                             in_t[w] = 1
                             t_list.append(w)
@@ -424,12 +425,11 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
             for w in g.adj[v]:
                 if in_t[w]:
                     continue
-                flags = side[w]
-                if flags & _HOT:
+                if lower[w] >= hot_at:
                     clean = False
                     if v_in_s:
                         rejected = True
-                elif not flags & _DEAD:
+                elif upper[w] > dead_at:
                     in_t[w] = 1
                     t_list.append(w)
                     queue.append(w)

@@ -230,12 +230,11 @@ def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
         if whole and local.upper[i] < bounds.upper[v]:
             bounds.upper[v] = local.upper[i]
 
-    kept, _pruned_graph, surviving = prune(g_work, groups, local, cs.h, cs_work)
+    kept, surviving = prune(g_work, groups, local, cs_work)
     survivor_set = set(surviving)
     pruned = tuple(work[i] for i in range(len(work)) if i not in survivor_set)
 
-    return _as_candidates(g_work, cs_work, work,
-                          [cand.vertices for cand in kept]), pruned
+    return _as_candidates(g_work, cs_work, work, kept), pruned
 
 
 def _as_candidates(g_work: Graph, cs_work: CliqueSet, work: VertexSet,

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cliques import Bounds, CliqueSet
 from .graph import Graph, VertexSet
 from .weights import WeightState
 
-# Drift allowance baked into float-sourced bounds at tightening time, so the
+# Drift allowance baked into load-derived bounds at tightening time, so the
 # stored interval stays sound for the exact compact number despite float
 # round-off in the weight iteration (see Bounds docstring).
 _DRIFT = 1e-9
@@ -109,30 +108,6 @@ def tentative_decomposition(g: Graph, cs: CliqueSet,
     return Partition(groups=groups, order=order), ws
 
 
-def is_stable_group(candidate: VertexSet, partition: Partition,
-                    ws: WeightState, cs: CliqueSet) -> bool:
-    """Def-checked stability of a union of consecutive partition blocks.
-
-    (1) every outside vertex's load lies strictly above the candidate's
-    maximum or strictly below its minimum; (2)/(3) every clique joining the
-    candidate to a heavier (lighter) vertex carries share exactly 0 on the
-    heavy (candidate) side. Share comparisons are exact: reassignment writes
-    exact zeros and the iteration itself never does.
-    """
-    members = set(candidate)
-    if not members:
-        return False
-    load = ws.load
-    lo = min(load[v] for v in members)
-    hi = max(load[v] for v in members)
-    for v in partition.order:
-        if v in members:
-            continue
-        if lo <= load[v] <= hi:
-            return False
-    return _share_conditions_ok(members, lo, hi, ws, cs)
-
-
 def _share_conditions_ok(members: set[int], lo: float, hi: float,
                          ws: WeightState, cs: CliqueSet) -> bool:
     """Def conditions (2)/(3): no weight crosses the candidate's boundary."""
@@ -160,24 +135,13 @@ def _share_conditions_ok(members: set[int], lo: float, hi: float,
     return True
 
 
-@dataclass
-class CandidateGroup:
-    """A stable group: candidate vertex set with its load range; the exact
-    clique density of the induced subgraph is filled lazily by the pipeline."""
-
-    vertices: VertexSet
-    load_min: float
-    load_max: float
-    density: Fraction | None = None
-
-
 def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
-                         bounds: Bounds) -> tuple[list[CandidateGroup], Bounds]:
+                         bounds: Bounds) -> tuple[list[VertexSet], Bounds]:
     """Greedily merge consecutive blocks into stable groups and tighten bounds.
 
     For every member u of a stable group: upper[u] shrinks to the group's
-    maximum load and lower[u] grows to its minimum load (float values carry
-    the drift allowance). Tightening never widens an interval. Groups are
+    maximum load and lower[u] grows to its minimum load (both carry the
+    drift allowance). Tightening never widens an interval. Groups are
     returned in the partition's descending-load order.
     """
     out = bounds.copy()
@@ -224,7 +188,7 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
         lo = min(lo, plo)
         hi = max(hi, phi)
 
-    groups: list[CandidateGroup] = []
+    groups: list[VertexSet] = []
     for members, lo, hi in sets:
         candidate = tuple(sorted(members))
         upper_val = hi + _pad(hi)
@@ -234,5 +198,5 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
                 out.upper[v] = upper_val
             if lower_val > out.lower[v]:
                 out.lower[v] = lower_val
-        groups.append(CandidateGroup(vertices=candidate, load_min=lo, load_max=hi))
+        groups.append(candidate)
     return groups, out

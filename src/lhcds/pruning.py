@@ -5,42 +5,35 @@ edge (u, v) has lower[u] strictly above upper[v], and, after recomputing
 clique cores over the cliques whose members are all alive, when a vertex's
 core drops below its own lower bound (repeated to a fixed point; removing a
 vertex can only lower cores, so the fixed point is the largest vertex set on
-which every core meets its lower bound). Bound comparisons leave one float
-ulp of slack toward keeping: a missed removal only costs time, a wrong one
-breaks exactness.
+which every core meets its lower bound). Bounds are already rounded outward;
+each comparison still leaves one float ulp of slack toward keeping, as a
+margin: a missed removal only costs time, a wrong one breaks exactness.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cliques import Bounds, BoundValue, CliqueSet, clique_core_numbers, \
-    enumerate_cliques
+from .cliques import Bounds, CliqueSet, clique_core_numbers
+from .cliques import enumerate_cliques  # noqa: F401  (perfbench traces it here)
 from .cliques import restrict_cliques  # noqa: F401  (perfbench traces it here)
-from .graph import Graph, VertexSet, induced_subgraph
-from .proposal import CandidateGroup
+from .graph import Graph, VertexSet
+from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
 
 
-def definitely_less(a: BoundValue, b: BoundValue) -> bool:
+def definitely_less(a: float, b: float) -> bool:
     """True when a < b by more than one float ulp (never fires on a tie)."""
-    return float(a) < math.nextafter(float(b), -math.inf)
+    return a < math.nextafter(b, -math.inf)
 
 
-def prune(g: Graph, candidates: list[CandidateGroup], bounds: Bounds,
-          h: int, cs: CliqueSet | None = None
-          ) -> tuple[list[CandidateGroup], Graph, VertexSet]:
-    """Drop provably invalid vertices out of g and out of every candidate.
+def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
+          ) -> tuple[list[VertexSet], VertexSet]:
+    """Drop provably invalid vertices out of g and out of every group.
 
-    Returns the surviving candidates (empty ones removed), the pruned graph
-    as an induced subgraph of g, and the sorted tuple of surviving vertex
-    ids (in g's id space). Idempotent for unchanged bounds.
+    Returns the surviving groups (empty ones removed) and the sorted tuple
+    of surviving vertex ids. Idempotent for unchanged bounds.
     """
-    if cs is None:
-        cs = enumerate_cliques(g, h)
-
-    # definitely_less compares floats, so convert each bound once
-    upper = [float(x) for x in bounds.upper]
-    lower = [float(x) for x in bounds.lower]
+    upper, lower = bounds.upper, bounds.lower
     alive = bytearray(b"\1") * g.n
     for v in range(g.n):
         uv = upper[v]
@@ -62,10 +55,9 @@ def prune(g: Graph, candidates: list[CandidateGroup], bounds: Bounds,
             break
 
     surviving = tuple(v for v in range(g.n) if alive[v])
-    kept: list[CandidateGroup] = []
-    for cand in candidates:
-        vs = tuple(v for v in cand.vertices if alive[v])
+    kept: list[VertexSet] = []
+    for grp in groups:
+        vs = tuple(v for v in grp if alive[v])
         if vs:
-            kept.append(CandidateGroup(vertices=vs, load_min=cand.load_min,
-                                       load_max=cand.load_max))
-    return kept, induced_subgraph(g, surviving), surviving
+            kept.append(vs)
+    return kept, surviving

@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lhcds import (Graph, clique_core_numbers, definitely_less,
+from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
                    induced_subgraph, parse_edge_list, restrict_cliques)
-from lhcds.proposal import CandidateGroup
+from lhcds.proposal import _share_conditions_ok
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -139,12 +139,40 @@ def prune_rebuild(g: Graph, candidates, bounds, cs):
         for v in dropped:
             alive[v] = False
     kept = []
-    for cand in candidates:
-        vs = tuple(v for v in cand.vertices if alive[v])
+    for grp in candidates:
+        vs = tuple(v for v in grp if alive[v])
         if vs:
-            kept.append(CandidateGroup(vertices=vs, load_min=cand.load_min,
-                                       load_max=cand.load_max))
+            kept.append(vs)
     return kept, tuple(v for v in range(g.n) if alive[v])
+
+
+def exact_bounds(core, h: int) -> Bounds:
+    """Core-seeded bounds as exact rationals: upper = core, lower = core/h."""
+    return Bounds(upper=[Fraction(c) for c in core],
+                  lower=[Fraction(c, h) for c in core])
+
+
+def is_stable_group(candidate, partition, ws, cs) -> bool:
+    """Def-checked stability of a union of consecutive partition blocks.
+
+    (1) every outside vertex's load lies strictly above the candidate's
+    maximum or strictly below its minimum; (2)/(3) every clique joining the
+    candidate to a heavier (lighter) vertex carries share exactly 0 on the
+    heavy (candidate) side. Share comparisons are exact: reassignment writes
+    exact zeros and the iteration itself never does.
+    """
+    members = set(candidate)
+    if not members:
+        return False
+    load = ws.load
+    lo = min(load[v] for v in members)
+    hi = max(load[v] for v in members)
+    for v in partition.order:
+        if v in members:
+            continue
+        if lo <= load[v] <= hi:
+            return False
+    return _share_conditions_ok(members, lo, hi, ws, cs)
 
 
 def suite_graphs(seed: int = 20260810, count: int = 200):

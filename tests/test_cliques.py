@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -84,12 +85,17 @@ def test_core_at_most_degree():
 
 
 def test_initialize_bounds():
-    b = initialize_bounds([1, 1, 1], 3)
-    assert b.upper == [Fraction(1)] * 3 and b.lower == [Fraction(1, 3)] * 3
-    b = initialize_bounds([4] * 5, 4)
-    assert b.upper == [Fraction(4)] * 5 and b.lower == [Fraction(1)] * 5
-    b = initialize_bounds([0], 3)
-    assert (b.upper, b.lower) == ([Fraction(0)], [Fraction(0)])
+    # upper = core exactly; lower = the largest float at or below core/h
+    core = list(range(2001))
+    for h in range(2, 7):
+        b = initialize_bounds(core, h)
+        for c, upper, lower in zip(core, b.upper, b.lower):
+            exact = Fraction(c, h)
+            assert type(upper) is float and type(lower) is float
+            assert upper == c
+            assert Fraction(lower) <= exact
+            assert Fraction(lower) == exact or \
+                math.nextafter(lower, math.inf) > exact
 
 
 def test_bounds_sandwich_true_compact_numbers():
@@ -155,9 +161,11 @@ def test_restrict_cliques_matches_bruteforce(kind):
                                   for i in range(len(pos))]
             assert sub.incidence == [[cid for cid, c in enumerate(want) if i in c]
                                      for i in range(len(pos))]
+            assert cs.count_within(set(members)) == len(want)
         everyone = list(range(g.n))
         rng.shuffle(everyone)
         assert restrict_cliques(cs, everyone + everyone[:3]) is cs
+        assert cs.count_within(set(everyone)) == len(cs.cliques)
 
 
 def test_restrict_cliques_matches_reenumeration():

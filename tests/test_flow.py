@@ -1,18 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lhcds.flow as flow_mod
-from lhcds import (BoundaryClique, build_network, clique_core_numbers,
+from lhcds import (BoundaryClique, Bounds, build_network, clique_core_numbers,
                    connected_components, derive_compact, enumerate_cliques,
                    induced_subgraph, initialize_bounds, is_densest, min_cut,
-                   oracle_compactness, restrict_cliques, verify_basic,
-                   verify_fast)
+                   oracle_compact_numbers, oracle_compactness, restrict_cliques,
+                   verify_basic, verify_fast)
 from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
                           _instance_count_by_mask, _mask_to_tuple)
 from helpers import (clique_edges, gnp, k4_pendant, k5_k4_bridge_edge, k_n,
-                     triangle, two_k4_bridge_vertex)
+                     triangle, two_k4_bridge_edge, two_k4_bridge_vertex)
 
 from lhcds import Graph
 
@@ -157,6 +159,51 @@ def test_verify_basic_examples():
 def _tight_bounds(g, h):
     cs = enumerate_cliques(g, h)
     return cs, initialize_bounds(clique_core_numbers(g, cs), h)
+
+
+def _assert_brackets(rho):
+    dead_at, hot_at = flow_mod._float_bracket(rho)
+    x = float(rho)
+    near = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(2):
+            y = math.nextafter(y, direction)
+            near.append(y)
+    for x in near + [dead_at, hot_at]:
+        assert (x <= dead_at) == (x < rho)
+        assert (x >= hot_at) == (x > rho)
+
+
+@pytest.mark.parametrize("rho", [
+    Fraction(0), Fraction(1, 2), Fraction(3),       # floats exactly
+    Fraction(1, 3), Fraction(13, 6),                # between two floats
+    Fraction(10**30 + 1, 7),
+])
+def test_float_bracket(rho):
+    _assert_brackets(rho)
+
+
+@given(st.fractions(min_value=0, max_value=10**9))
+def test_float_bracket_any_rho(rho):
+    _assert_brackets(rho)
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(5, clique_edges(range(4)) + [(0, 4), (1, 4)]),
+    two_k4_bridge_edge(),
+])
+def test_verify_fast_bound_at_rho_extends(g):
+    # every compact number is 1, the density of the K4 {0..3}, and the bounds
+    # sit exactly there: vertex 4 reaches the K4 through a clique (first
+    # graph) or an edge (second) and makes it non-maximal, so it must not be
+    # treated as dead
+    cs = enumerate_cliques(g, 3)
+    phi = oracle_compact_numbers(g, 3)
+    assert set(phi) == {1}
+    bounds = Bounds(upper=[float(p) for p in phi], lower=[float(p) for p in phi])
+    assert not verify_basic(g, cs, (0, 1, 2, 3))
+    assert not verify_fast(g, cs, (0, 1, 2, 3), bounds)
 
 
 def test_verify_fast_examples():

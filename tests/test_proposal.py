@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 from lhcds import (Graph, enumerate_cliques, init_weights, initialize_bounds,
-                   clique_core_numbers, derive_stable_groups, is_stable_group,
+                   clique_core_numbers, derive_stable_groups,
                    run_iterations, tentative_decomposition)
-from helpers import clique_edges, gnp, k_n, triangle, two_k4_bridge_vertex
+from helpers import (clique_edges, gnp, is_stable_group, k_n, triangle,
+                     two_k4_bridge_vertex)
 
 
 def _propose(g, h, rounds):
@@ -21,7 +22,7 @@ def test_triangle_single_group_bounds_pin_third():
     # group range (and with it both bounds) tightly around 1/3
     g = triangle()
     cs, ws, partition, groups, bounds = _propose(g, 3, 20_000)
-    assert [grp.vertices for grp in groups] == [(0, 1, 2)]
+    assert groups == [(0, 1, 2)]
     third = Fraction(1, 3)
     for v in range(3):
         assert bounds.lower[v] <= third <= bounds.upper[v]
@@ -33,8 +34,9 @@ def test_two_plateaus_two_groups():
     # disjoint K5 and K4: loads settle near 2 and 1
     g = Graph.from_edges(9, clique_edges(range(5)) + clique_edges(range(5, 9)))
     cs, ws, partition, groups, bounds = _propose(g, 3, 200)
-    assert [grp.vertices for grp in groups] == [(0, 1, 2, 3, 4), (5, 6, 7, 8)]
-    assert groups[0].load_min > groups[1].load_max
+    assert groups == [(0, 1, 2, 3, 4), (5, 6, 7, 8)]
+    assert min(ws.load[v] for v in groups[0]) > \
+        max(ws.load[v] for v in groups[1])
     for v in range(5):
         assert bounds.lower[v] <= Fraction(2) <= bounds.upper[v]
     for v in range(5, 9):
@@ -44,8 +46,8 @@ def test_two_plateaus_two_groups():
 def test_bridge_vertex_separated():
     g = two_k4_bridge_vertex()
     cs, ws, partition, groups, bounds = _propose(g, 3, 20)
-    assert groups[0].vertices == (0, 1, 2, 3, 5, 6, 7, 8)
-    assert groups[1].vertices == (4,)
+    assert groups[0] == (0, 1, 2, 3, 5, 6, 7, 8)
+    assert groups[1] == (4,)
 
 
 def test_partition_blocks_cover_and_order():
@@ -112,9 +114,9 @@ def test_derived_groups_disjoint_and_stable():
         groups, tightened = derive_stable_groups(partition, ws, cs, bounds)
         seen = set()
         for grp in groups:
-            assert not (set(grp.vertices) & seen)
-            seen |= set(grp.vertices)
-            assert is_stable_group(grp.vertices, partition, ws, cs)
+            assert not (set(grp) & seen)
+            seen |= set(grp)
+            assert is_stable_group(grp, partition, ws, cs)
         assert seen == set(range(g.n))
         for v in range(g.n):
             assert tightened.upper[v] <= bounds.upper[v]

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,24 +6,21 @@ from lhcds import (Bounds, Graph, clique_core_numbers, derive_stable_groups,
                    enumerate_cliques, induced_subgraph, init_weights,
                    initialize_bounds, prune, run_iterations,
                    tentative_decomposition)
-from lhcds.proposal import CandidateGroup
-from helpers import clique_edges, k_n, planted, prune_rebuild
+from helpers import clique_edges, exact_bounds, k_n, planted, prune_rebuild
 
 
 def _bounds(n, upper, lower):
-    return Bounds(upper=[Fraction(x) for x in upper],
-                  lower=[Fraction(x) for x in lower])
+    return Bounds(upper=[float(x) for x in upper],
+                  lower=[float(x) for x in lower])
 
 
 def test_edge_rule_removes_dominated_vertex():
     # pendant 4 sits below vertex 0's lower bound across the edge (0, 4)
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4)])
-    b = _bounds(5, upper=[3, 3, 3, 3, Fraction(1, 2)],
-                lower=[1, 1, 1, 1, Fraction(1, 4)])
-    cands = [CandidateGroup(vertices=(0, 1, 2, 3, 4), load_min=0.0, load_max=2.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 3)
+    b = _bounds(5, upper=[3, 3, 3, 3, 0.5], lower=[1, 1, 1, 1, 0.25])
+    kept, surviving = prune(g, [(0, 1, 2, 3, 4)], b, enumerate_cliques(g, 3))
     assert surviving == (0, 1, 2, 3)
-    assert kept[0].vertices == (0, 1, 2, 3)
+    assert kept == [(0, 1, 2, 3)]
 
 
 def _cascade_fixture():
@@ -34,15 +30,13 @@ def _cascade_fixture():
     edges = clique_edges(range(8)) + \
         [(8, 9), (9, 10), (10, 11), (8, 11), (9, 11), (0, 9), (1, 11)]
     g = Graph.from_edges(12, edges)
-    upper = [Fraction(21)] * 8 + [1, Fraction(1, 2), 1, Fraction(1, 2)]
-    lower = [Fraction(2)] * 8 + [Fraction(1, 2)] * 4
-    return g, Bounds(upper=list(upper), lower=list(lower))
+    return g, _bounds(12, upper=[21] * 8 + [1, 0.5, 1, 0.5],
+                      lower=[2] * 8 + [0.5] * 4)
 
 
 def test_core_cascade():
     g, b = _cascade_fixture()
-    cands = [CandidateGroup(vertices=tuple(range(12)), load_min=0.0, load_max=5.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 3)
+    kept, surviving = prune(g, [tuple(range(12))], b, enumerate_cliques(g, 3))
     assert 9 not in surviving and 11 not in surviving    # edge rule
     assert 8 not in surviving and 10 not in surviving    # core cascade
     assert set(range(8)) <= set(surviving)
@@ -57,49 +51,37 @@ def test_cascade_reaches_fixed_point():
                                       for i in range(6)]
     g = Graph.from_edges(9, edges)
     b = _bounds(9, upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
-    cands = [CandidateGroup(vertices=tuple(range(9)), load_min=0.0, load_max=2.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 2)
+    cs = enumerate_cliques(g, 2)
+    kept, surviving = prune(g, [tuple(range(9))], b, cs)
     assert surviving == () and kept == []
-    assert prune_rebuild(g, cands, b, enumerate_cliques(g, 2)) == ([], ())
+    assert prune_rebuild(g, [tuple(range(9))], b, cs) == ([], ())
 
 
 def test_uniform_graph_untouched():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
     b = _bounds(5, upper=[6] * 5, lower=[2] * 5)
-    cands = [CandidateGroup(vertices=tuple(range(5)), load_min=2.0, load_max=2.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 3, cs)
+    kept, surviving = prune(g, [tuple(range(5))], b, cs)
     assert surviving == tuple(range(5))
-    assert pruned_graph.n == 5
 
 
 def test_idempotent():
     g, b = _cascade_fixture()
-    cands = [CandidateGroup(vertices=tuple(range(12)), load_min=0.0, load_max=5.0)]
-    kept, g2, surviving = prune(g, cands, b, 3)
+    kept, surviving = prune(g, [tuple(range(12))], b, enumerate_cliques(g, 3))
+    g2 = induced_subgraph(g, surviving)
     b2 = Bounds(upper=[b.upper[v] for v in surviving],
                 lower=[b.lower[v] for v in surviving])
-    cands2 = [CandidateGroup(vertices=tuple(range(g2.n)), load_min=0.0, load_max=5.0)]
-    kept2, g3, surviving2 = prune(g2, cands2, b2, 3)
+    kept2, surviving2 = prune(g2, [tuple(range(g2.n))], b2,
+                              enumerate_cliques(g2, 3))
     assert surviving2 == tuple(range(g2.n))
 
 
-def test_pruned_graph_is_induced():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    b = _bounds(4, upper=[3, 3, 3, Fraction(1, 4)], lower=[1, 1, 1, 0])
-    cands = [CandidateGroup(vertices=(0, 1, 2, 3), load_min=0.0, load_max=3.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 2)
-    assert surviving == (0, 1, 2)
-    assert pruned_graph.adj == ((1,), (0, 2), (1,))
-
-
 def test_near_tie_not_pruned():
-    # equal bounds across an edge (mixed float and rational) must not fire
-    # the removal rule, and matching cores survive the cascade
+    # equal bounds across an edge must not fire the removal rule, and
+    # matching cores survive the cascade
     g = Graph.from_edges(2, [(0, 1)])
-    b = Bounds(upper=[Fraction(1), 1.0], lower=[1.0, Fraction(1)])
-    cands = [CandidateGroup(vertices=(0, 1), load_min=0.0, load_max=1.0)]
-    kept, pruned_graph, surviving = prune(g, cands, b, 2)
+    b = _bounds(2, upper=[1, 1], lower=[1, 1])
+    kept, surviving = prune(g, [(0, 1)], b, enumerate_cliques(g, 2))
     assert surviving == (0, 1)
 
 
@@ -107,7 +89,8 @@ def test_near_tie_not_pruned():
 @pytest.mark.parametrize("seed", range(20))
 def test_prune_matches_rebuild_cascade(seed):
     # a 30-300-vertex planted graph, pruned with the groups and bounds of a
-    # whole-graph propose round, as the driver's first round does
+    # whole-graph propose round, as the driver's first round does; the same
+    # groups, tightened from exact rational core bounds, prune the same way
     rng = random.Random(seed)
     n = rng.randint(30, 300)
     blocks = max(1, n // 25)
@@ -115,12 +98,16 @@ def test_prune_matches_rebuild_cascade(seed):
     g = planted(seed, n=n, m=blocks * 17 + n, blocks=blocks, size_lo=5,
                 size_hi=9, p=0.8)
     cs = enumerate_cliques(g, h)
-    bounds = initialize_bounds(clique_core_numbers(g, cs), h)
+    core = clique_core_numbers(g, cs)
     partition, ws = tentative_decomposition(g, cs,
                                             run_iterations(init_weights(cs), 20))
-    groups, local = derive_stable_groups(partition, ws, cs, bounds)
-    kept, pruned_graph, surviving = prune(g, groups, local, h, cs)
+    groups, local = derive_stable_groups(partition, ws, cs,
+                                         initialize_bounds(core, h))
+    kept, surviving = prune(g, groups, local, cs)
     want_kept, want_surviving = prune_rebuild(g, groups, local, cs)
     assert surviving == want_surviving
     assert kept == want_kept
-    assert pruned_graph == induced_subgraph(g, want_surviving)
+    exact_groups, exact_local = derive_stable_groups(partition, ws, cs,
+                                                     exact_bounds(core, h))
+    assert exact_groups == groups
+    assert prune(g, groups, exact_local, cs) == (kept, surviving)
