@@ -36,7 +36,7 @@ for h in (2, 3):
     print(f"\n{h}-cliques: {len(cs.cliques)}")
     for clique in cs.cliques:
         print("  ", tuple(g.labels[v] for v in clique))
-    core = clique_core_numbers(g, cs)
+    core = clique_core_numbers(cs)
     bounds = initialize_bounds(core, h)
     print("per-vertex clique-core numbers and compact-number bounds:")
     for v in range(g.n):

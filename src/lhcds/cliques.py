@@ -123,7 +123,7 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     return _index_cliques(cs.h, kept, len(mlist))
 
 
-def clique_core_numbers(g: Graph, cs: CliqueSet,
+def clique_core_numbers(cs: CliqueSet,
                         alive: Sequence[int] | None = None) -> list[int]:
     """Per-vertex h-clique-core numbers by minimum-clique-degree peeling.
 
@@ -134,7 +134,7 @@ def clique_core_numbers(g: Graph, cs: CliqueSet,
     buckets (Batagelj and Zaversnik); core numbers do not depend on the order
     in which equal-degree vertices peel.
     """
-    n = g.n
+    n = len(cs.degree)
     cliques = cs.cliques
     incidence = cs.incidence
     deg = list(cs.degree)

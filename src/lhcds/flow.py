@@ -13,6 +13,10 @@ residual twin ``e ^ 1`` runs back with the capacity flow has freed, so the
 tail of ``e`` is ``head[e ^ 1]``. ``arcs[u]`` lists the ids of the arcs
 leaving node ``u``, residual twins included. Dinic and the min-cut scan walk
 these lists of ints instead of one list object per arc.
+
+A network reads cliques, never edges, so all but the verifiers take a clique
+set alone and work on its vertices 0..len(cs.degree)-1; a subproblem on S is
+``restrict_cliques(cs, S)``, whose local id i is S's i-th smallest member.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ from math import inf, lcm, nextafter
 from typing import Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
-from .graph import Graph, VertexSet, induced_subgraph
+from .graph import Graph, VertexSet, connected_components
+from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
 
 
 @dataclass
 class BoundaryClique:
-    """A clique straddling the working subgraph's border: its id in the host
+    """A clique straddling the working set's border: its id in the host
     clique set, the number of its vertices inside (1 <= cnt <= h-1), and those
-    inside vertices in the working graph's id space."""
+    inside vertices in the working set's local id space."""
 
     clique_id: int
     cnt: int
@@ -42,7 +47,7 @@ class BoundaryClique:
 class FlowNetwork:
     """Directed network with integer capacities over a shared denominator.
 
-    Node layout: 0 = source, 1 = sink, then one node per working-graph vertex
+    Node layout: 0 = source, 1 = sink, then one node per working-set vertex
     (``vertex_node[v] = 2 + v``), then clique and boundary nodes. Arc layout:
     arc ``e`` goes to node ``head[e]`` and has remaining capacity ``cap[e]``;
     arcs are added in pairs, so the even id ``2i`` is the i-th arc added and
@@ -88,11 +93,11 @@ class CutResult:
     flow_value: Fraction
 
 
-def build_network(g: Graph, cs: CliqueSet, rho: Fraction,
+def build_network(cs: CliqueSet, rho: Fraction,
                   boundary: Sequence[BoundaryClique] = ()) -> FlowNetwork:
-    """Assemble the verification network for the working graph g.
+    """Assemble the verification network on the vertices of cs.
 
-    Interior cliques (all members in g): member -> clique with capacity 1 and
+    Interior cliques (all members inside): member -> clique with capacity 1 and
     clique -> member with capacity h-1. A boundary clique with cnt inside
     members uses capacity h/cnt inward and adds h/cnt to each inside member's
     source-arc mass. Every vertex gets source -> v with its (augmented)
@@ -103,7 +108,7 @@ def build_network(g: Graph, cs: CliqueSet, rho: Fraction,
     rho_h = Fraction(rho) * h
     den = lcm(rho_h.denominator, *(b.cnt for b in boundary)) if boundary \
         else rho_h.denominator
-    n = g.n
+    n = len(cs.degree)
     net = FlowNetwork(num_vertices=n, den=den)
     head, cap, arcs = net.head, net.cap, net.arcs
 
@@ -255,7 +260,7 @@ def min_cut(net: FlowNetwork) -> CutResult:
     return CutResult(source_side=side, flow_value=Fraction(flow, net.den))
 
 
-def derive_compact(g: Graph, cs: CliqueSet, rho: Fraction,
+def derive_compact(cs: CliqueSet, rho: Fraction,
                    boundary: Sequence[BoundaryClique] = ()) -> VertexSet:
     """Largest vertex set maximizing (cliques inside) - rho * size.
 
@@ -263,31 +268,16 @@ def derive_compact(g: Graph, cs: CliqueSet, rho: Fraction,
     shift the result is exactly the union of all maximal compact subgraphs at
     the unshifted density.
     """
-    return min_cut(build_network(g, cs, rho, boundary)).source_side
+    return min_cut(build_network(cs, rho, boundary)).source_side
 
 
-def _is_component(g: Graph, inside: set[int], s: set[int]) -> bool:
-    """Is the nonempty set s exactly a connected component of g restricted
-    to ``inside``?"""
-    if not s or not s <= inside:
-        return False
-    start = min(s)
-    comp = {start}
-    queue = [start]
-    for v in queue:
-        for w in g.adj[v]:
-            if w in inside and w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp == s
-
-
-def denser_part(g_s: Graph, cs_s: CliqueSet) -> VertexSet:
-    """The vertices of g_s whose compact number in g_s exceeds its density.
+def denser_part(cs_s: CliqueSet) -> VertexSet:
+    """The vertices of G[S] whose compact number in G[S] exceeds its density,
+    from and in the local ids of S's cliques ``cs_s``.
 
     Distinct densities over at most |S| vertices differ by at least 1/|S|^2,
     so the compact union T at the probe density + 1/(2|S|^2) is exactly that
-    set, and it is empty iff g_s is self-densest.
+    set, and it is empty iff G[S] is self-densest.
 
     T splits a candidate S that is not self-densest without losing any
     locally densest subgraph of the host graph G:
@@ -303,16 +293,16 @@ def denser_part(g_s: Graph, cs_s: CliqueSet) -> VertexSet:
       and it is not all of S because compact numbers in G[S] average to
       d(S)), so a driver that replaces S by its pieces ends.
     """
-    if g_s.n == 0:
+    n = len(cs_s.degree)
+    if n == 0:
         raise ValueError("empty candidate")
-    d = Fraction(len(cs_s.cliques), g_s.n)
-    probe = d + Fraction(1, 2 * g_s.n * g_s.n)
-    return derive_compact(g_s, cs_s, probe, ())
+    probe = Fraction(len(cs_s.cliques), n) + Fraction(1, 2 * n * n)
+    return derive_compact(cs_s, probe, ())
 
 
-def is_densest(g_s: Graph, cs_s: CliqueSet) -> bool:
-    """No proper subgraph of g_s has strictly larger h-clique density."""
-    return not denser_part(g_s, cs_s)
+def is_densest(cs_s: CliqueSet) -> bool:
+    """No proper subgraph of G[S] has strictly larger h-clique density."""
+    return not denser_part(cs_s)
 
 
 def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
@@ -320,7 +310,7 @@ def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
     s_set = set(s)
     if not s_set:
         raise ValueError("empty candidate")
-    if not _is_component(g, s_set, s_set):
+    if len(connected_components(g, s_set)) != 1:
         raise ValueError("candidate is not connected")
     return s_set
 
@@ -346,8 +336,8 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
     """
     s_set = _candidate_set(g, s)
     rho = Fraction(cs.count_within(s_set), len(s_set))
-    compact = derive_compact(g, cs, rho - Fraction(1, g.n * g.n), ())
-    return _is_component(g, set(compact), s_set)
+    compact = derive_compact(cs, rho - Fraction(1, g.n * g.n), ())
+    return tuple(sorted(s_set)) in connected_components(g, compact)
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
@@ -362,9 +352,9 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     candidate whose lower bound exceeds the candidate density, or clique
     contact from the candidate with an already-output result, certifies
     rejection (such a vertex always extends a compact superset). Otherwise
-    the flow check runs on G[T] with border cliques compensated at capacity
-    h/cnt, and must return G[s] as a connected component. Agrees with
-    verify_basic on every input.
+    the flow check runs on the cliques inside T, with border cliques
+    compensated at capacity h/cnt, and must return s as a connected
+    component. Agrees with verify_basic on every input.
 
     The float bounds are compared with the exact density rho through two
     thresholds computed once per call: a vertex is dead (upper bound below
@@ -440,7 +430,6 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
 
     t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}
-    sub = induced_subgraph(g, t_sorted)
     sub_cs = restrict_cliques(cs, t_sorted)
     border: list[BoundaryClique] = []
     for cid in sorted(set(suspected)):
@@ -449,6 +438,6 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
             border.append(BoundaryClique(clique_id=cid, cnt=len(inside),
                                          inside=inside))
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
-    compact = derive_compact(sub, sub_cs, shifted, border)
-    inside_orig = {t_sorted[i] for i in compact}
-    return _is_component(g, inside_orig, s_set)
+    compact = derive_compact(sub_cs, shifted, border)
+    return tuple(sorted(s_set)) in connected_components(
+        g, [t_sorted[i] for i in compact])

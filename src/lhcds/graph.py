@@ -119,10 +119,13 @@ def parse_edge_list(source: str | bytes | IO) -> Graph:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """Return G[S]. The subgraph's labels map back to g's external ids."""
+    """Return G[S], or g itself when S covers every vertex. The subgraph's
+    labels map back to g's external ids."""
     members = tuple(sorted(set(s)))
     if members and (members[0] < 0 or members[-1] >= g.n):
         raise ValueError(f"vertex id out of range for n={g.n}")
+    if len(members) == g.n:
+        return g
     pos = {v: i for i, v in enumerate(members)}
     adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in members)
     m = sum(len(a) for a in adj) // 2

@@ -98,16 +98,20 @@ def enumerate_patterns(g: Graph, pattern_id: str) -> PatternSet:
         return _finish(pattern_id, g.n, raw)
 
     if pattern_id == "4loop":
-        adj_sets = [set(a) for a in g.adj]
+        # the cycle a-b-c-d has diagonals {a,c} and {b,d}; keep the
+        # orientation where {a,c} is the smaller one: a is the smallest
+        # vertex and b < d, so c is two hops from a through b > a
         for a in range(g.n):
-            for c in range(a + 1, g.n):
-                common = [x for x in g.adj[a] if x in adj_sets[c]]
-                for b, d in combinations(common, 2):
-                    # the cycle a-b-c-d has diagonals {a,c} and {b,d}; keep
-                    # the orientation where {a,c} is the smaller diagonal
-                    if (a, c) < (b, d):
-                        quad = tuple(sorted((a, b, c, d)))
-                        raw.append((quad, ("l", (a, b, c, d))))
+            common: dict[int, list[int]] = {}
+            for b in g.adj[a]:
+                if b > a:
+                    for c in g.adj[b]:
+                        if c > a:
+                            common.setdefault(c, []).append(b)
+            for c, mids in common.items():
+                for b, d in combinations(mids, 2):
+                    quad = tuple(sorted((a, b, c, d)))
+                    raw.append((quad, ("l", (a, b, c, d))))
         return _finish(pattern_id, g.n, raw)
 
     # diamond: two triangles sharing the edge (a, b)

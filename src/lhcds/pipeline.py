@@ -11,6 +11,10 @@ witness and its pieces go back on the stack. Every emission is gated by the
 exact flow verification, so the output is exact regardless of how
 approximate the proposals are.
 
+A popped candidate S costs one flow solve on its restricted cliques: the
+witness ``flow.denser_part`` is empty iff S is self-densest, and otherwise it
+is the split. Candidates and their pieces are held in the input graph's ids.
+
 Deviations from a purely literal driver, both exactness-preserving:
 stable groups are split into their connected components before stacking
 (disconnected equal-density plateaus would otherwise cycle forever), and a
@@ -37,7 +41,8 @@ from typing import Callable, Iterable
 
 from .cliques import Bounds, CliqueSet, clique_core_numbers, enumerate_cliques, \
     initialize_bounds, restrict_cliques
-from .flow import denser_part, is_densest, verify_basic, verify_fast
+from .flow import denser_part, verify_basic, verify_fast
+from .flow import is_densest  # noqa: F401  (perfbench traces it here)
 from .graph import Graph, VertexSet, connected_components, induced_subgraph
 from .patterns import enumerate_patterns
 from .proposal import derive_stable_groups, tentative_decomposition
@@ -153,7 +158,7 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
         stats = RunStats()
     stats.clique_count = len(cs.cliques)
     n = g.n
-    bounds = initialize_bounds(clique_core_numbers(g, cs), cs.h)
+    bounds = initialize_bounds(clique_core_numbers(cs), cs.h)
     emitted_flag = [False] * n
     results: list[ResultRecord] = []
     stack: list[_Candidate] = []
@@ -179,10 +184,9 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
         if current is None:
             break
 
-        sub = induced_subgraph(g, current.vertices)
-        sub_cs = restrict_cliques(cs, current.vertices)
         stats.densest_checks += 1
-        if is_densest(sub, sub_cs):
+        inner = denser_part(restrict_cliques(cs, current.vertices))
+        if not inner:
             if _verify(g, cs, current.vertices, bounds, emitted_flag, cfg, stats):
                 for v in current.vertices:
                     emitted_flag[v] = True
@@ -195,10 +199,9 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
                 stats.emitted += 1
                 k_left -= 1
         else:
-            inner = denser_part(sub, sub_cs)
-            outer = set(range(sub.n)).difference(inner)
-            stack.extend(reversed(_as_candidates(
-                sub, sub_cs, current.vertices, (inner, outer))))
+            inside = [current.vertices[i] for i in inner]
+            outside = set(current.vertices).difference(inside)
+            stack.extend(reversed(_as_candidates(g, cs, (inside, outside))))
         nxt = _pop_positive(stack, stats)
         if nxt is None:
             break
@@ -218,7 +221,7 @@ def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
     g_work = induced_subgraph(g, work)
     cs_work = restrict_cliques(cs, work)
     ws = run_iterations(init_weights(cs_work), t_rounds)
-    partition, ws = tentative_decomposition(g_work, cs_work, ws)
+    partition = tentative_decomposition(cs_work, ws)
     local = Bounds(upper=[bounds.upper[v] for v in work],
                    lower=[bounds.lower[v] for v in work])
     groups, local = derive_stable_groups(partition, ws, cs_work, local)
@@ -234,22 +237,20 @@ def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
     survivor_set = set(surviving)
     pruned = tuple(work[i] for i in range(len(work)) if i not in survivor_set)
 
-    return _as_candidates(g_work, cs_work, work, kept), pruned
+    parts = ([work[i] for i in grp] for grp in kept)
+    return _as_candidates(g, cs, parts), pruned
 
 
-def _as_candidates(g_work: Graph, cs_work: CliqueSet, work: VertexSet,
-                   parts: Iterable[Iterable[int]]) -> list[_Candidate]:
-    """The connected components of each part of the working graph, as
-    candidates in the host graph's id space, densest-first (ties by smallest
-    vertex id)."""
+def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]]
+                   ) -> list[_Candidate]:
+    """The connected components of each part (host ids) in g, as candidates,
+    densest-first (ties by smallest vertex id)."""
     out: list[_Candidate] = []
     for part in parts:
-        for comp in connected_components(g_work, part):
-            count = cs_work.count_within(set(comp))
-            out.append(_Candidate(
-                vertices=tuple(work[i] for i in comp),
-                clique_count=count,
-                density=Fraction(count, len(comp))))
+        for comp in connected_components(g, part):
+            count = cs.count_within(set(comp))
+            out.append(_Candidate(vertices=comp, clique_count=count,
+                                  density=Fraction(count, len(comp))))
     out.sort(key=lambda c: (-c.density, c.vertices))
     return out
 

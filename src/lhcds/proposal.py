@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cliques import Bounds, CliqueSet
-from .graph import Graph, VertexSet
+from .graph import VertexSet
 from .weights import WeightState
 
 # Drift allowance baked into load-derived bounds at tightening time, so the
@@ -38,8 +38,7 @@ class Partition:
     order: list[int]
 
 
-def tentative_decomposition(g: Graph, cs: CliqueSet,
-                            ws: WeightState) -> tuple[Partition, WeightState]:
+def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     """Partition by load-descending prefix-density records and reassign weight.
 
     Cut positions are the prefix lengths q whose density (cliques fully inside
@@ -47,20 +46,20 @@ def tentative_decomposition(g: Graph, cs: CliqueSet,
     prefix; the comparison is exact integer arithmetic. For each clique
     spanning multiple blocks, the weight its members hold outside the last
     touched block is zeroed (exact zeros) and redistributed equally among its
-    members inside that block; loads are then recomputed from the shares.
+    members inside that block; ws's shares and loads are updated in place.
     """
-    n = g.n
+    n = len(cs.degree)
     order = sorted(range(n), key=lambda v: (-ws.load[v], v))
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
 
-    # cliques counted into the prefix where their last member (by sort
-    # position) enters: O(n + |cliques|) total
+    # each clique's last member by sort position: the clique is counted into
+    # the prefix where that member enters, O(n + |cliques|) total
+    last = [max(map(pos.__getitem__, members)) for members in cs.cliques]
     by_last = [0] * (n + 1)
-    for members in cs.cliques:
-        last = max(pos[v] for v in members)
-        by_last[last + 1] += 1
+    for p in last:
+        by_last[p + 1] += 1
     prefix_count = [0] * (n + 1)
     for q in range(1, n + 1):
         prefix_count[q] = prefix_count[q - 1] + by_last[q]
@@ -84,8 +83,10 @@ def tentative_decomposition(g: Graph, cs: CliqueSet,
             group_of[v] = gi
         start = cut
 
+    # blocks are contiguous runs of order, so the block holding a clique's
+    # last member is the last block the clique touches
     for cid, members in enumerate(cs.cliques):
-        last_group = max(group_of[v] for v in members)
+        last_group = group_of[order[last[cid]]]
         inside = [i for i, v in enumerate(members) if group_of[v] == last_group]
         if len(inside) == len(members):
             continue
@@ -105,7 +106,7 @@ def tentative_decomposition(g: Graph, cs: CliqueSet,
         for i, v in enumerate(members):
             load[v] += row[i]
     ws.load = load
-    return Partition(groups=groups, order=order), ws
+    return Partition(groups=groups, order=order)
 
 
 def _share_conditions_ok(members: set[int], lo: float, hi: float,

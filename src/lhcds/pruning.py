@@ -45,7 +45,7 @@ def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
     # cascade: recompute cores among survivors until no vertex sits below
     # its own lower bound
     while True:
-        core = clique_core_numbers(g, cs, alive)
+        core = clique_core_numbers(cs, alive)
         dropped = False
         for v in range(g.n):
             if alive[v] and definitely_less(core[v], lower[v]):

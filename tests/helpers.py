@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
-                   induced_subgraph, parse_edge_list, restrict_cliques)
+                   parse_edge_list, restrict_cliques)
 from lhcds.proposal import _share_conditions_ok
 
 
@@ -130,8 +130,7 @@ def prune_rebuild(g: Graph, candidates, bounds, cs):
             alive[v] = False
     while True:
         survivors = [v for v in range(g.n) if alive[v]]
-        core = clique_core_numbers(induced_subgraph(g, survivors),
-                                   restrict_cliques(cs, survivors))
+        core = clique_core_numbers(restrict_cliques(cs, survivors))
         dropped = [v for i, v in enumerate(survivors)
                    if definitely_less(core[i], bounds.lower[v])]
         if not dropped:

@@ -108,7 +108,7 @@ def test_criterion_03_derive_compact_exactness():
                          for m in compact if count[m] > 0}
             for rho in densities:
                 checks += 1
-                got = set(derive_compact(g, cs, rho - Fraction(1, n * n)))
+                got = set(derive_compact(cs, rho - Fraction(1, n * n)))
                 want = set()
                 for m, c in compact.items():
                     if c >= rho:
@@ -163,7 +163,7 @@ def test_criterion_07_paper_micro_values():
     cs13 = enumerate_cliques(g13, 3)
     assert len(cs13.cliques) == 13
     # oracle cross-check first: the construction is its own densest subgraph
-    assert is_densest(g13, cs13)
+    assert is_densest(cs13)
     assert oracle_lhcds(g13, 3)[0] == ((0, 1, 2, 3, 4, 5), Fraction(13, 6))
     got = ippv(g13, PipelineConfig(h=3, k=1))
     assert got[0].density == Fraction(13, 6)

@@ -68,11 +68,11 @@ def test_degree_sum_and_exhaustive_cross_check(seed, n, h):
 
 
 def test_core_numbers_examples():
-    assert clique_core_numbers(triangle(), enumerate_cliques(triangle(), 3)) == [1, 1, 1]
+    assert clique_core_numbers(enumerate_cliques(triangle(), 3)) == [1, 1, 1]
     k5 = k_n(5)
-    assert clique_core_numbers(k5, enumerate_cliques(k5, 4)) == [4] * 5
+    assert clique_core_numbers(enumerate_cliques(k5, 4)) == [4] * 5
     g = two_k4_bridge_edge()
-    assert clique_core_numbers(g, enumerate_cliques(g, 3)) == [3] * 8
+    assert clique_core_numbers(enumerate_cliques(g, 3)) == [3] * 8
 
 
 def test_core_at_most_degree():
@@ -80,7 +80,7 @@ def test_core_at_most_degree():
     for _ in range(20):
         g = gnp(rng, rng.randint(3, 9), 0.5)
         cs = enumerate_cliques(g, 3)
-        core = clique_core_numbers(g, cs)
+        core = clique_core_numbers(cs)
         assert all(core[v] <= cs.degree[v] for v in range(g.n))
 
 
@@ -104,7 +104,7 @@ def test_bounds_sandwich_true_compact_numbers():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            b = initialize_bounds(clique_core_numbers(g, cs), h)
+            b = initialize_bounds(clique_core_numbers(cs), h)
             phi = oracle_compact_numbers(g, h)
             for v in range(g.n):
                 assert b.lower[v] <= phi[v] <= b.upper[v]
@@ -117,7 +117,7 @@ def test_core_vertices_retain_core_degree():
     for _ in range(10):
         g = gnp(rng, 8, 0.6)
         cs = enumerate_cliques(g, 3)
-        core = clique_core_numbers(g, cs)
+        core = clique_core_numbers(cs)
         for k in range(1, max(core, default=0) + 1):
             inside = sorted(v for v in range(g.n) if core[v] >= k)
             sub = restrict_cliques(cs, inside)
@@ -128,7 +128,7 @@ def test_core_vertices_retain_core_degree():
 def test_core_numbers_match_iterated_k_core(kind):
     repeats = 0
     for _rng, g, cs in _seeded_sets(kind):
-        assert clique_core_numbers(g, cs) == core_bruteforce(g.n, cs.cliques)
+        assert clique_core_numbers(cs) == core_bruteforce(g.n, cs.cliques)
         repeats += len(cs.cliques) - len(set(cs.cliques))
     if kind in ("diamond", "3star"):
         assert repeats > 0
@@ -139,9 +139,8 @@ def test_core_numbers_under_alive_mask(kind):
     for rng, g, cs in _seeded_sets(kind):
         alive = bytearray(rng.random() < 0.7 for _ in range(g.n))
         survivors = [v for v in range(g.n) if alive[v]]
-        want = clique_core_numbers(induced_subgraph(g, survivors),
-                                   restrict_cliques(cs, survivors))
-        core = clique_core_numbers(g, cs, alive)
+        want = clique_core_numbers(restrict_cliques(cs, survivors))
+        core = clique_core_numbers(cs, alive)
         assert [core[v] for v in survivors] == want
         assert all(core[v] == 0 for v in range(g.n) if not alive[v])
 

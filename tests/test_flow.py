@@ -26,7 +26,7 @@ def _arc_caps(net, u):
 def test_network_construction_triangle():
     g = triangle()
     cs = enumerate_cliques(g, 3)
-    net = build_network(g, cs, Fraction(2, 9))
+    net = build_network(cs, Fraction(2, 9))
     # 2 terminals + 3 vertex nodes + 1 clique node
     assert len(net.arcs) == 6
     for v in range(3):
@@ -44,7 +44,7 @@ def test_network_boundary_compensation():
     g = Graph.from_edges(1, [])
     cs = enumerate_cliques(g, 3)
     entry = BoundaryClique(clique_id=0, cnt=1, inside=(0,))
-    net = build_network(g, cs, Fraction(1, 3), [entry])
+    net = build_network(cs, Fraction(1, 3), [entry])
     bnode = len(net.arcs) - 1
     vn = net.vertex_node(0)
     assert dict(_arc_caps(net, vn))[bnode] == 3 * net.den        # h / cnt
@@ -56,20 +56,20 @@ def test_network_rejects_bad_count():
     g = triangle()
     cs = enumerate_cliques(g, 3)
     with pytest.raises(ValueError):
-        build_network(g, cs, Fraction(1), [BoundaryClique(0, 3, (0, 1, 2))])
+        build_network(cs, Fraction(1), [BoundaryClique(0, 3, (0, 1, 2))])
 
 
 def test_min_cut_triangle():
     g = triangle()
     cs = enumerate_cliques(g, 3)
-    assert min_cut(build_network(g, cs, Fraction(2, 9))).source_side == (0, 1, 2)
-    assert min_cut(build_network(g, cs, Fraction(1, 2))).source_side == ()
+    assert min_cut(build_network(cs, Fraction(2, 9))).source_side == (0, 1, 2)
+    assert min_cut(build_network(cs, Fraction(1, 2))).source_side == ()
 
 
 def test_min_cut_zero_rho_keeps_clique_mass():
     g = triangle()
     cs = enumerate_cliques(g, 3)
-    net = build_network(g, cs, Fraction(0))
+    net = build_network(cs, Fraction(0))
     for v in range(3):
         assert dict(_arc_caps(net, net.vertex_node(v))).get(net.SINK, 0) == 0
     side = min_cut(net).source_side
@@ -79,7 +79,7 @@ def test_min_cut_zero_rho_keeps_clique_mass():
 def test_min_cut_zero_source_mass_empty():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])  # no triangles
     cs = enumerate_cliques(g, 3)
-    res = min_cut(build_network(g, cs, Fraction(1, 2)))
+    res = min_cut(build_network(cs, Fraction(1, 2)))
     assert res.source_side == ()
     assert res.flow_value == 0
 
@@ -87,10 +87,10 @@ def test_min_cut_zero_source_mass_empty():
 def test_flow_value_scales_exactly():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
-    v1 = min_cut(build_network(g, cs, Fraction(7, 5))).flow_value
-    v2 = min_cut(build_network(g, cs, Fraction(14, 10))).flow_value
+    v1 = min_cut(build_network(cs, Fraction(7, 5))).flow_value
+    v2 = min_cut(build_network(cs, Fraction(14, 10))).flow_value
     assert v1 == v2  # same rational rho, possibly different denominators
-    net = build_network(g, cs, Fraction(7, 5))
+    net = build_network(cs, Fraction(7, 5))
     net.cap[:] = [c * 2 for c in net.cap]
     doubled = flow_mod._max_flow(net)
     assert Fraction(doubled, net.den) == 2 * v1
@@ -99,12 +99,12 @@ def test_flow_value_scales_exactly():
 def test_derive_compact_examples():
     g = triangle()
     cs = enumerate_cliques(g, 3)
-    assert derive_compact(g, cs, Fraction(1, 3) - Fraction(1, 9)) == (0, 1, 2)
-    assert derive_compact(g, cs, Fraction(10)) == ()
+    assert derive_compact(cs, Fraction(1, 3) - Fraction(1, 9)) == (0, 1, 2)
+    assert derive_compact(cs, Fraction(10)) == ()
 
     g2 = two_k4_bridge_vertex()
     cs2 = enumerate_cliques(g2, 3)
-    got = derive_compact(g2, cs2, Fraction(1) - Fraction(1, 81))
+    got = derive_compact(cs2, Fraction(1) - Fraction(1, 81))
     assert got == (0, 1, 2, 3, 5, 6, 7, 8)
 
 
@@ -122,7 +122,7 @@ def test_derive_compact_matches_subset_oracle():
             densities = {Fraction(count[m], m.bit_count())
                          for m in comp if count[m] > 0}
             for rho in densities:
-                got = set(derive_compact(g, cs, rho - Fraction(1, n * n)))
+                got = set(derive_compact(cs, rho - Fraction(1, n * n)))
                 want = set()
                 for m, c in comp.items():
                     if c >= rho:
@@ -136,13 +136,13 @@ def test_derive_compact_matches_subset_oracle():
 
 def test_is_densest():
     k5 = k_n(5)
-    assert is_densest(k5, enumerate_cliques(k5, 4))
+    assert is_densest(enumerate_cliques(k5, 4))
     pend = k4_pendant()
-    assert not is_densest(pend, enumerate_cliques(pend, 3))
+    assert not is_densest(enumerate_cliques(pend, 3))
     tri = triangle()
-    assert is_densest(tri, enumerate_cliques(tri, 3))
+    assert is_densest(enumerate_cliques(tri, 3))
     with pytest.raises(ValueError):
-        is_densest(Graph.from_edges(0, []), enumerate_cliques(Graph.from_edges(0, []), 3))
+        is_densest(enumerate_cliques(Graph.from_edges(0, []), 3))
 
 
 def test_verify_basic_examples():
@@ -158,7 +158,7 @@ def test_verify_basic_examples():
 
 def _tight_bounds(g, h):
     cs = enumerate_cliques(g, h)
-    return cs, initialize_bounds(clique_core_numbers(g, cs), h)
+    return cs, initialize_bounds(clique_core_numbers(cs), h)
 
 
 def _assert_brackets(rho):
@@ -250,7 +250,7 @@ def test_fast_equals_basic_on_self_densest_candidates():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            bounds = initialize_bounds(clique_core_numbers(g, cs), h)
+            bounds = initialize_bounds(clique_core_numbers(cs), h)
             # sample connected candidate sets; keep the self-densest ones
             for comp in connected_components(g):
                 for _ in range(4):
@@ -262,7 +262,7 @@ def test_fast_equals_basic_on_self_densest_candidates():
                     sub_cs = restrict_cliques(cs, cand)
                     if not sub_cs.cliques:
                         continue
-                    if not is_densest(sub, sub_cs):
+                    if not is_densest(sub_cs):
                         continue
                     checked += 1
                     assert verify_fast(g, cs, cand, bounds) == \

@@ -149,8 +149,8 @@ def test_min_cut_matches_networkx(n, h):
     checked = bordered = nonempty = 0
     for sub, sub_cs, boundary, rho in _cases(n, h):
         flow, den, side = _reference(sub, sub_cs, rho, boundary)
-        assert derive_compact(sub, sub_cs, rho, boundary) == side
-        got = min_cut(build_network(sub, sub_cs, rho, boundary))
+        assert derive_compact(sub_cs, rho, boundary) == side
+        got = min_cut(build_network(sub_cs, rho, boundary))
         assert got.flow_value == Fraction(flow, den)
         checked += 1
         bordered += bool(boundary)

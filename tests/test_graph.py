@@ -91,6 +91,7 @@ def test_round_trip_identity():
     g = two_k4_bridge_edge()
     sub = induced_subgraph(g, range(g.n))
     assert sub.adj == g.adj and sub.labels == g.labels
+    assert induced_subgraph(g, range(g.n)) is g
 
 
 @given(st.integers(0, 400), st.integers(2, 9))

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from lhcds import (enumerate_cliques, enumerate_patterns, pattern_density,
-                   PATTERN_NAMES)
+from lhcds import (Graph, enumerate_cliques, enumerate_patterns,
+                   pattern_density, PATTERN_NAMES)
 from helpers import gnp, k_n, star, triangle
 
 
@@ -84,6 +84,18 @@ def test_pattern_density_values():
     assert pattern_density(k5, enumerate_patterns(k5, "4clique"), range(5)) == 1
     with pytest.raises(ValueError):
         pattern_density(g, enumerate_patterns(g, "4loop"), ())
+
+
+@pytest.mark.time_limit(5)
+def test_4loop_sparse_graph_scales_with_edges():
+    # a 20k-vertex path with chords (i, i + 3): each chord closes exactly one
+    # 4-cycle, and a listing that visits every vertex pair cannot finish
+    n = 20_000
+    starts = (7, 4_000, 9_999, 15_000, n - 4)
+    edges = [(v, v + 1) for v in range(n - 1)] + [(i, i + 3) for i in starts]
+    ps = enumerate_patterns(Graph.from_edges(n, edges), "4loop")
+    assert ps.instances == [tuple(range(i, i + 4)) for i in starts]
+    assert ps.signatures == [("l", tuple(range(i, i + 4))) for i in starts]
 
 
 def test_star_has_single_instance():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (PipelineConfig, RunStats, enumerate_cliques, ippv,
+from lhcds import (PipelineConfig, RunStats, enumerate_cliques, flow, ippv,
                    ippv_pattern, oracle_lhcds, verify_basic)
 from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
                      triangle, two_k4_bridge_vertex)
@@ -87,6 +87,29 @@ def test_stats_counters():
     assert st.rounds >= 1
     assert st.emitted == 2
     assert st.flow_calls == st.densest_checks + st.verify_calls > 0
+
+
+@pytest.mark.time_limit(10)
+def test_flow_calls_counts_every_network(monkeypatch):
+    # Every densest check builds one network and so does every basic
+    # verification; a split must not build its candidate's network again.
+    built = []
+    real = flow.build_network
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "build_network", counting)
+    g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
+    stats = RunStats()
+    ippv(g, PipelineConfig(h=3, k=1, emit_all=True, verify_mode="basic"),
+         stats=stats)
+    # a densest check that passes leads to one verification, one that fails
+    # to a split
+    assert stats.densest_checks > stats.verify_calls
+    assert len(built) == stats.flow_calls == \
+        stats.densest_checks + stats.verify_calls
 
 
 def test_config_validation():

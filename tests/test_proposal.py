@@ -11,8 +11,8 @@ from helpers import (clique_edges, gnp, is_stable_group, k_n, triangle,
 def _propose(g, h, rounds):
     cs = enumerate_cliques(g, h)
     ws = run_iterations(init_weights(cs), rounds)
-    partition, ws = tentative_decomposition(g, cs, ws)
-    bounds = initialize_bounds(clique_core_numbers(g, cs), h)
+    partition = tentative_decomposition(cs, ws)
+    bounds = initialize_bounds(clique_core_numbers(cs), h)
     groups, bounds = derive_stable_groups(partition, ws, cs, bounds)
     return cs, ws, partition, groups, bounds
 
@@ -57,7 +57,7 @@ def test_partition_blocks_cover_and_order():
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 20)
         sort_load = list(ws.load)
-        partition, ws = tentative_decomposition(g, cs, ws)
+        partition = tentative_decomposition(cs, ws)
         flat = [v for grp in partition.groups for v in grp]
         assert sorted(flat) == list(range(g.n))
         # blocks follow the sort-time load order
@@ -72,7 +72,7 @@ def test_reassignment_conserves_mass():
         g = gnp(rng, rng.randint(4, 9), 0.6)
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 7)
-        _, ws = tentative_decomposition(g, cs, ws)
+        tentative_decomposition(cs, ws)
         for row in ws.share:
             assert abs(sum(row) - 1.0) <= 1e-9
             assert all(x >= 0.0 for x in row)
@@ -82,7 +82,7 @@ def test_whole_set_always_stable():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
     ws = run_iterations(init_weights(cs), 5)
-    partition, ws = tentative_decomposition(g, cs, ws)
+    partition = tentative_decomposition(cs, ws)
     assert is_stable_group(tuple(range(5)), partition, ws, cs)
 
 
@@ -109,8 +109,8 @@ def test_derived_groups_disjoint_and_stable():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 20)
-        partition, ws = tentative_decomposition(g, cs, ws)
-        bounds = initialize_bounds(clique_core_numbers(g, cs), 3)
+        partition = tentative_decomposition(cs, ws)
+        bounds = initialize_bounds(clique_core_numbers(cs), 3)
         groups, tightened = derive_stable_groups(partition, ws, cs, bounds)
         seen = set()
         for grp in groups:

@@ -98,9 +98,9 @@ def test_prune_matches_rebuild_cascade(seed):
     g = planted(seed, n=n, m=blocks * 17 + n, blocks=blocks, size_lo=5,
                 size_hi=9, p=0.8)
     cs = enumerate_cliques(g, h)
-    core = clique_core_numbers(g, cs)
-    partition, ws = tentative_decomposition(g, cs,
-                                            run_iterations(init_weights(cs), 20))
+    core = clique_core_numbers(cs)
+    ws = run_iterations(init_weights(cs), 20)
+    partition = tentative_decomposition(cs, ws)
     groups, local = derive_stable_groups(partition, ws, cs,
                                          initialize_bounds(core, h))
     kept, surviving = prune(g, groups, local, cs)
