@@ -22,7 +22,7 @@ print(f"{g.n} vertices, {g.m} edges: K5 on 8..12 plus a chorded 8-cycle on 0..7"
 print(f"\n{'pattern':>15}  instances  whole-graph density")
 for name in PATTERN_NAMES:
     ps = enumerate_patterns(g, name)
-    d = pattern_density(g, ps, range(g.n))
+    d = pattern_density(ps, range(g.n))
     print(f"{name:>15}  {len(ps.instances):>9}  {d} ({float(d):.3f})")
 
 for name in ("4loop", "diamond"):

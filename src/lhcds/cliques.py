@@ -2,8 +2,16 @@
 
 The clique list is materialized with stable lexicographic ids because the
 weight-distribution state and the verification flow networks both index into
-it. Enumeration walks the degeneracy-ordered DAG (edges oriented from earlier
-to later in peeling order) with recursive neighborhood intersection.
+it. Enumeration walks the degeneracy-ordered DAG: each edge points from the
+endpoint peeled earlier to the one peeled later, and ``degeneracy_order``
+peels from per-degree heaps of vertex ids. Triangles come from one flat loop
+over each vertex's successor pairs (Chiba and Nishizeki, 1985); larger
+cliques from recursive intersection of successor lists (kClist, Danisch et
+al., 2018). Each clique is listed once, as its rank-ordered chain.
+
+The smallest-id tie-break of the peeling order matters for speed, not
+output: it lists a dense block's cliques in nearly lexicographic order, so
+the sort in ``_index_cliques`` runs in near-linear time.
 """
 
 from __future__ import annotations
@@ -68,18 +76,29 @@ def enumerate_cliques(g: Graph, h: int) -> CliqueSet:
     """Enumerate every h-clique of g exactly once (h=2 yields the edge set)."""
     if h < 2:
         raise ValueError(f"clique size must be >= 2, got {h}")
-    rank = [0] * g.n
-    for i, v in enumerate(degeneracy_order(g)):
-        rank[v] = i
-    succ = [tuple(w for w in g.adj[v] if rank[w] > rank[v]) for v in range(g.n)]
-
+    adj = g.adj
     out: list[tuple[int, ...]] = []
     if h == 2:
         for v in range(g.n):
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if v < w:
                     out.append((v, w))
         return _index_cliques(2, out, g.n)
+
+    rank = [0] * g.n
+    for i, v in enumerate(degeneracy_order(g)):
+        rank[v] = i
+    succ = [[w for w in adj[v] if rank[w] > rv]
+            for v, rv in enumerate(rank)]
+    succ_sets = [set(s) for s in succ]
+    if h == 3:
+        for v, sv in enumerate(succ):
+            for w in sv:
+                sw = succ_sets[w]
+                for x in sv:
+                    if x in sw:
+                        out.append(tuple(sorted((v, w, x))))
+        return _index_cliques(3, out, g.n)
 
     def extend(prefix: list[int], cand: Sequence[int]) -> None:
         if len(prefix) == h - 1:
@@ -88,14 +107,12 @@ def enumerate_cliques(g: Graph, h: int) -> CliqueSet:
             return
         for v in cand:
             nxt = [w for w in cand if w in succ_sets[v]]
-            # the DAG orientation emits each clique once, as its rank-ordered chain
             if len(prefix) + 1 + len(nxt) >= h:
                 extend(prefix + [v], nxt)
 
-    succ_sets = [set(s) for s in succ]
-    for v in range(g.n):
-        if len(succ[v]) >= h - 1:
-            extend([v], list(succ[v]))
+    for v, sv in enumerate(succ):
+        if len(sv) >= h - 1:
+            extend([v], sv)
     return _index_cliques(h, out, g.n)
 
 

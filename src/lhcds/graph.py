@@ -167,20 +167,37 @@ def degeneracy_order(g: Graph) -> list[int]:
     """Repeated minimum-degree peeling order, ties broken by smallest id.
 
     Deterministic: the same graph always yields the same permutation of 0..n-1.
+    ``bucket[d]`` is a heap of the ids whose degree was d when they were
+    filed; a vertex is filed again each time its degree drops, and an entry
+    whose id no longer has degree d is stale and skipped when popped. Ids are
+    filed initially in ascending order, so every list starts as a heap. The
+    minimum degree falls by at most one per removal, so the cursor ``d``
+    steps back at most once per vertex.
     """
-    deg = [len(g.adj[v]) for v in range(g.n)]
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(g.n)]
-    heap.sort()
-    removed = [False] * g.n
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    bucket: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, dv in enumerate(deg):
+        bucket[dv].append(v)
     order: list[int] = []
-    while heap:
-        d, v = heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue  # stale heap entry
-        removed[v] = True
+    d = 0
+    for _ in range(g.n):
+        while True:
+            ids = bucket[d]
+            if not ids:
+                d += 1
+                continue
+            v = heappop(ids)
+            if deg[v] == d:
+                break
+        # a peeled vertex keeps degree -1, so it never matches a bucket again
+        deg[v] = -1
         order.append(v)
-        for w in g.adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heappush(heap, (deg[w], w))
+        for w in adj[v]:
+            dw = deg[w] - 1
+            if dw >= 0:
+                deg[w] = dw
+                heappush(bucket[dw], w)
+        if d:
+            d -= 1
     return order

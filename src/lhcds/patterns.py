@@ -120,14 +120,14 @@ def enumerate_patterns(g: Graph, pattern_id: str) -> PatternSet:
         for b in g.adj[a]:
             if b <= a:
                 continue
-            common = [x for x in g.adj[a] if x in adj_sets[b]]
+            common = adj_sets[a] & adj_sets[b]
             for c, d in combinations(common, 2):
                 quad = tuple(sorted((a, b, c, d)))
                 raw.append((quad, ("d", (a, b))))
     return _finish(pattern_id, g.n, raw)
 
 
-def pattern_density(g: Graph, ps: PatternSet, s: Iterable[int]) -> Fraction:
+def pattern_density(ps: PatternSet, s: Iterable[int]) -> Fraction:
     """Instances entirely inside s, divided by |s|."""
     members = set(s)
     if not members:

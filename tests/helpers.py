@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
@@ -93,6 +94,28 @@ def planted(seed: int, n: int, m: int, blocks: int, size_lo: int,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return parse_edge_list("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+
+
+def degeneracy_order_heap(g: Graph) -> list[int]:
+    """Reference peeling order: one lazy-deletion heap of (degree, id)
+    pairs, a push per degree decrement. Minimum degree first, ties broken by
+    smallest id."""
+    deg = [len(g.adj[v]) for v in range(g.n)]
+    heap = [(deg[v], v) for v in range(g.n)]
+    heap.sort()
+    removed = [False] * g.n
+    order: list[int] = []
+    while heap:
+        d, v = heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue  # stale heap entry
+        removed[v] = True
+        order.append(v)
+        for w in g.adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heappush(heap, (deg[w], w))
+    return order
 
 
 def core_bruteforce(n: int, cliques) -> list[int]:

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from lhcds import (clique_core_numbers, enumerate_cliques, enumerate_patterns,
-                   induced_subgraph, initialize_bounds, oracle_compact_numbers,
-                   restrict_cliques)
-from helpers import (core_bruteforce, gnp, k_n, path_n, triangle,
+from lhcds import (Graph, clique_core_numbers, enumerate_cliques,
+                   enumerate_patterns, induced_subgraph, initialize_bounds,
+                   oracle_compact_numbers, restrict_cliques)
+from helpers import (core_bruteforce, gnp, k_n, path_n, planted, triangle,
                      two_k4_bridge_edge)
 
 # clique sizes, and two pattern sets whose member quadruples repeat
@@ -65,6 +66,40 @@ def test_degree_sum_and_exhaustive_cross_check(seed, n, h):
     brute = [c for c in combinations(range(n), h)
              if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
     assert cs.cliques == brute
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cliques_match_networkx_on_planted_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(30, 300)
+    g = planted(seed, n=n, m=rng.randint(2 * n, 5 * n), blocks=rng.randint(1, 4),
+                size_lo=5, size_hi=9, p=rng.choice([0.8, 1.0]))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+    by_size: dict[int, list[tuple[int, ...]]] = {3: [], 4: [], 5: []}
+    for clique in nx.enumerate_all_cliques(nxg):
+        if len(clique) > 5:
+            break  # cliques come in nondecreasing size
+        if len(clique) in by_size:
+            by_size[len(clique)].append(tuple(sorted(clique)))
+    assert by_size[5], "the planted blocks should hold 5-cliques"
+    for h, expected in by_size.items():
+        assert enumerate_cliques(g, h).cliques == sorted(expected)
+
+
+@pytest.mark.time_limit(10)
+def test_triangles_of_a_hub_graph():
+    # a 20k-leaf star whose leaves 1..20000 also form a path: each path edge
+    # closes one triangle with the hub. The hub peels third from last, so it
+    # has two successors; oriented by id it would have 20k, and listing
+    # would test 4e8 pairs
+    leaves = 20_000
+    edges = [(0, v) for v in range(1, leaves + 1)] + \
+        [(v, v + 1) for v in range(1, leaves)]
+    cs = enumerate_cliques(Graph.from_edges(leaves + 1, edges), 3)
+    assert cs.cliques == [(0, v, v + 1) for v in range(1, leaves)]
+    assert cs.degree[0] == leaves - 1
 
 
 def test_core_numbers_examples():

@@ -206,6 +206,25 @@ def test_verify_fast_bound_at_rho_extends(g):
     assert not verify_fast(g, cs, (0, 1, 2, 3), bounds)
 
 
+def test_verify_fast_border_clique_with_member_at_rho():
+    # the K4 {0..3} (density 1) reaches the K5 {5..9} (compact number 2)
+    # only through 4 and 10, whose compact numbers are exactly 1. They lie
+    # in the triangles {4, 5, 10} and {5, 6, 10}, which are border cliques
+    # of the expansion: 5 and 6 are hot and stay out of it. A member whose
+    # upper bound is exactly rho does not make a clique dead; dropping these
+    # two would leave 4 and 10 with no triangle, so not compact, and the K4
+    # would come out as a component and be accepted
+    edges = clique_edges(range(4)) + clique_edges(range(5, 10)) + \
+        [(0, 4), (4, 5), (4, 10), (5, 10), (6, 10)]
+    g = Graph.from_edges(11, edges)
+    cs = enumerate_cliques(g, 3)
+    phi = oracle_compact_numbers(g, 3)
+    assert phi == [1] * 5 + [2] * 5 + [1]
+    bounds = Bounds(upper=[float(p) for p in phi], lower=[float(p) for p in phi])
+    assert not verify_basic(g, cs, (0, 1, 2, 3))
+    assert not verify_fast(g, cs, (0, 1, 2, 3), bounds)
+
+
 def test_verify_fast_examples():
     g = two_k4_bridge_vertex()
     cs, bounds = _tight_bounds(g, 3)

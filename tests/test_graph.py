@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from lhcds import (Graph, connected_components, degeneracy_order,
                    induced_subgraph, parse_edge_list)
-from helpers import gnp, k_n, path_n, triangle, two_k4_bridge_edge
+from helpers import (degeneracy_order_heap, gnp, k_n, path_n, planted, star,
+                     triangle, two_k4_bridge_edge)
 import random
 
 
@@ -85,6 +86,37 @@ def test_degeneracy_order_peels_min_degree_first():
     assert degeneracy_order(star) == [1, 2, 0, 3]
     # path 0-1-2: after peeling 0, vertices 1 and 2 tie at degree 1
     assert degeneracy_order(path_n(3)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(5, []),
+    star(7), path_n(2), path_n(9), k_n(6),
+    Graph.from_edges(9, [(0, 1), (1, 2), (5, 6)]),
+], ids=lambda g: f"n{g.n}-m{g.m}")
+def test_degeneracy_order_matches_heap_reference(g):
+    assert degeneracy_order(g) == degeneracy_order_heap(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_degeneracy_order_matches_heap_reference_planted(seed):
+    rng = random.Random(seed)
+    n = rng.randint(30, 300)
+    g = planted(seed, n=n, m=rng.randint(n, 4 * n), blocks=rng.randint(1, 4),
+                size_lo=4, size_hi=9, p=rng.choice([0.7, 1.0]))
+    assert degeneracy_order(g) == degeneracy_order_heap(g)
+
+
+@st.composite
+def edge_graphs(draw):
+    n = draw(st.integers(0, 25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=60)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(edge_graphs())
+def test_degeneracy_order_matches_heap_reference_any(g):
+    assert degeneracy_order(g) == degeneracy_order_heap(g)
 
 
 def test_round_trip_identity():

@@ -77,13 +77,13 @@ def test_edges_present_for_each_instance():
 
 def test_pattern_density_values():
     g = k_n(4)
-    assert pattern_density(g, enumerate_patterns(g, "4loop"), range(4)) == \
+    assert pattern_density(enumerate_patterns(g, "4loop"), range(4)) == \
         Fraction(3, 4)
-    assert pattern_density(g, enumerate_patterns(g, "4loop"), (0, 1)) == 0
+    assert pattern_density(enumerate_patterns(g, "4loop"), (0, 1)) == 0
     k5 = k_n(5)
-    assert pattern_density(k5, enumerate_patterns(k5, "4clique"), range(5)) == 1
+    assert pattern_density(enumerate_patterns(k5, "4clique"), range(5)) == 1
     with pytest.raises(ValueError):
-        pattern_density(g, enumerate_patterns(g, "4loop"), ())
+        pattern_density(enumerate_patterns(g, "4loop"), ())
 
 
 @pytest.mark.time_limit(5)
