@@ -113,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             "verify_calls": stats.verify_calls,
             "flow_calls": stats.flow_calls,
             "emitted": stats.emitted,
+            "fw_updates": stats.fw_updates,
             "wall_seconds": round(time.monotonic() - started, 6),
         }
         print(json.dumps(payload), file=sys.stderr)

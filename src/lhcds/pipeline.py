@@ -99,6 +99,7 @@ class RunStats:
     verify_disagreements: int = 0
     emitted: int = 0
     max_iterations_used: int = 0  # cfg.iterations: the count never changes
+    fw_updates: int = 0  # clique steps of the weight iteration, all rounds
 
     @property
     def flow_calls(self) -> int:
@@ -168,7 +169,8 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
 
     while cfg.emit_all or k_left > 0:
         stats.rounds += 1
-        candidates, pruned = _propose_round(g, cs, work, cfg.iterations, bounds)
+        candidates, pruned = _propose_round(g, cs, work, cfg.iterations,
+                                            bounds, stats)
         stats.candidates_proposed += len(candidates)
         stats.pruned_vertices += len(pruned)
 
@@ -210,7 +212,8 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
 
 
 def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
-                   bounds: Bounds) -> tuple[list[_Candidate], VertexSet]:
+                   bounds: Bounds, stats: RunStats
+                   ) -> tuple[list[_Candidate], VertexSet]:
     """One propose + prune round on the working vertex set.
 
     Returns the pruned candidates as connected components in the host graph's
@@ -221,6 +224,7 @@ def _propose_round(g: Graph, cs: CliqueSet, work: VertexSet, t_rounds: int,
     g_work = induced_subgraph(g, work)
     cs_work = restrict_cliques(cs, work)
     ws = run_iterations(init_weights(cs_work), t_rounds)
+    stats.fw_updates += t_rounds * len(cs_work.cliques)
     partition = tentative_decomposition(cs_work, ws)
     local = Bounds(upper=[bounds.upper[v] for v in work],
                    lower=[bounds.lower[v] for v in work])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from .cliques import Bounds, CliqueSet
 from .graph import VertexSet
@@ -85,26 +86,27 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
 
     # blocks are contiguous runs of order, so the block holding a clique's
     # last member is the last block the clique touches
+    share = ws.share
+    h = cs.h
     for cid, members in enumerate(cs.cliques):
         last_group = group_of[order[last[cid]]]
         inside = [i for i, v in enumerate(members) if group_of[v] == last_group]
         if len(inside) == len(members):
             continue
-        row = ws.share[cid]
+        base = cid * h
         moved = 0.0
         for i, v in enumerate(members):
             if group_of[v] != last_group:
-                moved += row[i]
-                row[i] = 0.0
+                moved += share[base + i]
+                share[base + i] = 0.0
         add = moved / len(inside)
         for i in inside:
-            row[i] += add
+            share[base + i] += add
 
+    # summed in clique-id, then position order, like the iteration's shares
     load = [0.0] * n
-    for cid, members in enumerate(cs.cliques):
-        row = ws.share[cid]
-        for i, v in enumerate(members):
-            load[v] += row[i]
+    for v, x in zip(chain.from_iterable(cs.cliques), share):
+        load[v] += x
     ws.load = load
     return Partition(groups=groups, order=order)
 
@@ -113,6 +115,8 @@ def _share_conditions_ok(members: set[int], lo: float, hi: float,
                          ws: WeightState, cs: CliqueSet) -> bool:
     """Def conditions (2)/(3): no weight crosses the candidate's boundary."""
     load = ws.load
+    share = ws.share
+    h = cs.h
     checked: set[int] = set()
     for v in members:
         for cid in cs.incidence[v]:
@@ -120,17 +124,17 @@ def _share_conditions_ok(members: set[int], lo: float, hi: float,
                 continue
             checked.add(cid)
             clique = cs.cliques[cid]
-            row = ws.share[cid]
+            base = cid * h
             low_checked = False
             for i, w in enumerate(clique):
                 if w in members:
                     continue
                 if load[w] > hi:
-                    if row[i] != 0.0:
+                    if share[base + i] != 0.0:
                         return False
                 elif not low_checked:  # load[w] < lo by condition (1)
                     for j, u in enumerate(clique):
-                        if u in members and row[j] != 0.0:
+                        if u in members and share[base + j] != 0.0:
                             return False
                     low_checked = True
     return True

@@ -118,6 +118,45 @@ def degeneracy_order_heap(g: Graph) -> list[int]:
     return order
 
 
+def run_iterations_eager(ws, rounds: int):
+    """Reference weight iteration: the plain per-clique update, in place.
+
+    Every round rescales each load and share by 1 - 1/(t+1) with ``*=``,
+    then walks cliques in id order, finds the minimum-load member with a
+    strict ``<`` (so the smallest position wins ties) and adds 1/(t+1) to
+    its share and load. ``run_iterations`` must match it bit for bit.
+    """
+    cliques = ws.cs.cliques
+    h = ws.cs.h
+    share = ws.share
+    load = ws.load
+    for t in range(ws.rounds_done + 1, ws.rounds_done + rounds + 1):
+        gamma = 1.0 / (t + 1)
+        keep = 1.0 - gamma
+        for v in range(len(load)):
+            load[v] *= keep
+        for i in range(len(share)):
+            share[i] *= keep
+        for cid, members in enumerate(cliques):
+            best_pos = 0
+            best = load[members[0]]
+            for i in range(1, len(members)):
+                li = load[members[i]]
+                if li < best:
+                    best = li
+                    best_pos = i
+            share[cid * h + best_pos] += gamma
+            load[members[best_pos]] = best + gamma
+    ws.rounds_done += rounds
+    return ws
+
+
+def share_rows(ws) -> list[list[float]]:
+    """The flat share list cut into one row per clique."""
+    h = ws.cs.h
+    return [ws.share[i:i + h] for i in range(0, len(ws.share), h)]
+
+
 def core_bruteforce(n: int, cliques) -> list[int]:
     """Clique-core numbers by iterated k-cores: for k = 1, 2, ..., drop every
     vertex that lies in fewer than k cliques inside the current set until

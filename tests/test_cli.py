@@ -116,4 +116,6 @@ def test_stats_on_stderr(k5_file, capsys):
     payload = json.loads(captured.err.strip().split("\n")[-1])
     assert payload["clique_count"] == 10
     assert payload["rounds"] >= 1
+    # the one round runs 20 weight rounds over all 10 triangles
+    assert payload["fw_updates"] == 20 * 10 * payload["rounds"]
     assert "wall_seconds" in payload

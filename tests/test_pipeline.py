@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lhcds import (PipelineConfig, RunStats, enumerate_cliques, flow, ippv,
-                   ippv_pattern, oracle_lhcds, verify_basic)
+                   ippv_pattern, oracle_lhcds, restrict_cliques, verify_basic)
 from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
                      triangle, two_k4_bridge_vertex)
 
@@ -87,6 +87,20 @@ def test_stats_counters():
     assert st.rounds >= 1
     assert st.emitted == 2
     assert st.flow_calls == st.densest_checks + st.verify_calls > 0
+
+
+def test_fw_updates_counts_every_round():
+    # one clique step per clique of the working set, per weight round
+    g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
+    cfg = PipelineConfig(h=3, k=3)
+    cs = enumerate_cliques(g, 3)
+    stats = RunStats()
+    events = []
+    ippv(g, cfg, stats=stats, on_round=events.append)
+    assert len(events) > 1
+    assert stats.fw_updates == sum(
+        cfg.iterations * len(restrict_cliques(cs, e.working).cliques)
+        for e in events) > 0
 
 
 @pytest.mark.time_limit(10)

@@ -4,8 +4,8 @@ from fractions import Fraction
 from lhcds import (Graph, enumerate_cliques, init_weights, initialize_bounds,
                    clique_core_numbers, derive_stable_groups,
                    run_iterations, tentative_decomposition)
-from helpers import (clique_edges, gnp, is_stable_group, k_n, triangle,
-                     two_k4_bridge_vertex)
+from helpers import (clique_edges, gnp, is_stable_group, k_n, share_rows,
+                     triangle, two_k4_bridge_vertex)
 
 
 def _propose(g, h, rounds):
@@ -73,7 +73,7 @@ def test_reassignment_conserves_mass():
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 7)
         tentative_decomposition(cs, ws)
-        for row in ws.share:
+        for row in share_rows(ws):
             assert abs(sum(row) - 1.0) <= 1e-9
             assert all(x >= 0.0 for x in row)
 

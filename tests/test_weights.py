@@ -3,14 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhcds import (CliqueSet, enumerate_cliques, init_weights, objective,
+from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
+                   enumerate_patterns, init_weights, objective,
                    oracle_compact_numbers, run_iterations)
-from helpers import gnp, k_n, triangle
+from helpers import (gnp, k_n, planted, run_iterations_eager, share_rows,
+                     triangle)
 
 
 def test_init_triangle():
     ws = init_weights(enumerate_cliques(triangle(), 3))
-    assert ws.share == [[pytest.approx(1 / 3)] * 3]
+    assert share_rows(ws) == [[pytest.approx(1 / 3)] * 3]
     assert ws.load == [pytest.approx(1 / 3)] * 3
 
 
@@ -68,11 +70,12 @@ def test_simplex_preserved_per_clique(seed, n, h, rounds):
     g = gnp(random.Random(seed), n, 0.6)
     cs = enumerate_cliques(g, h)
     ws = run_iterations(init_weights(cs), rounds)
-    for row in ws.share:
+    for row in share_rows(ws):
         assert abs(sum(row) - 1.0) <= 1e-9
         assert all(x >= 0.0 for x in row)
     for v in range(n):
-        total = sum(ws.share[c][ws.cs.cliques[c].index(v)] for c in cs.incidence[v])
+        total = sum(ws.share[c * h + ws.cs.cliques[c].index(v)]
+                    for c in cs.incidence[v])
         assert abs(ws.load[v] - total) <= 1e-9 * max(1, cs.degree[v])
     assert abs(sum(ws.load) - len(cs.cliques)) <= 1e-9 * max(1, len(cs.cliques))
 
@@ -83,3 +86,47 @@ def test_long_run_approaches_compact_numbers():
     phi = [float(x) for x in oracle_compact_numbers(g, 3)]
     ws = run_iterations(init_weights(cs), 10_000)
     assert max(abs(ws.load[v] - phi[v]) for v in range(g.n)) <= 0.05
+
+
+def _instances(g, kind):
+    return enumerate_cliques(g, kind) if isinstance(kind, int) \
+        else enumerate_patterns(g, kind)
+
+
+def _assert_same_bits(ws, ref):
+    assert ws.share == ref.share
+    assert ws.load == ref.load
+    assert ws.rounds_done == ref.rounds_done
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 12),
+       st.sampled_from([2, 3, 4, 5, *PATTERN_NAMES]), st.integers(0, 40),
+       st.integers(0, 40))
+def test_run_iterations_matches_eager_bit_for_bit(seed, n, kind, rounds, first):
+    # no approx anywhere: the flat update must do the eager update's float
+    # operations in its order, whether the rounds come in one call or two
+    first = min(first, rounds)
+    cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
+    ref = run_iterations_eager(init_weights(cs), rounds)
+    _assert_same_bits(run_iterations(init_weights(cs), rounds), ref)
+    split = run_iterations(init_weights(cs), first)
+    _assert_same_bits(run_iterations(split, rounds - first), ref)
+
+
+@pytest.mark.parametrize("h", [3, 4])
+def test_run_iterations_matches_eager_on_planted_graph(h):
+    # thousands of cliques in overlapping blocks, where load ties between
+    # members are common
+    g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
+    cs = enumerate_cliques(g, h)
+    _assert_same_bits(run_iterations(init_weights(cs), 20),
+                      run_iterations_eager(init_weights(cs), 20))
+
+
+def test_copy_is_independent():
+    ws = run_iterations(init_weights(enumerate_cliques(k_n(5), 3)), 3)
+    twin = ws.copy()
+    run_iterations(ws, 2)
+    _assert_same_bits(twin, run_iterations_eager(
+        init_weights(enumerate_cliques(k_n(5), 3)), 3))
