@@ -39,5 +39,7 @@ for r in records:
 
 print(f"\nrounds: {stats.rounds}, candidates proposed: "
       f"{stats.candidates_proposed}, vertices pruned: {stats.pruned_vertices}")
-print(f"flow checks: {stats.flow_calls} "
-      f"(self-densest {stats.densest_checks}, maximality {stats.verify_calls})")
+print(f"self-densest checks: {stats.densest_checks}, "
+      f"{stats.densest_certified} decided by equal clique degrees")
+print(f"flow networks: at most {stats.flow_calls} "
+      f"(maximality checks: {stats.verify_calls})")

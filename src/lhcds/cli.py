@@ -110,6 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             "candidates_proposed": stats.candidates_proposed,
             "pruned_vertices": stats.pruned_vertices,
             "densest_checks": stats.densest_checks,
+            "densest_certified": stats.densest_certified,
             "verify_calls": stats.verify_calls,
             "flow_calls": stats.flow_calls,
             "emitted": stats.emitted,

@@ -17,7 +17,9 @@ the sort in ``_index_cliques`` runs in near-linear time.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, nextafter
 from typing import Iterable, Sequence
 
@@ -48,17 +50,24 @@ class CliqueSet:
         lo = bisect_left(self.cliques, (v,))
         return range(lo, bisect_left(self.cliques, (v + 1,), lo))
 
-    def count_within(self, members: set[int]) -> int:
-        """Number of cliques entirely inside ``members``; each is counted
-        at its smallest member."""
+    def degrees_within(self, members: Sequence[int]) -> list[int]:
+        """Clique degrees inside ``members`` (distinct vertices, any order):
+        entry i counts the cliques that lie entirely inside ``members`` and
+        contain ``members[i]``. Each clique is met once, at its smallest
+        member, so the degrees sum to h times the number of such cliques."""
         cliques = self.cliques
-        inside = members.__contains__
-        total = 0
+        inside = set(members).__contains__
+        kept = []
         for v in members:
-            for cid in self.led_by(v):
-                if all(map(inside, cliques[cid])):
-                    total += 1
-        return total
+            span = self.led_by(v)
+            kept += [c for c in cliques[span.start:span.stop]
+                     if all(map(inside, c))]
+        hits = Counter(chain.from_iterable(kept))
+        return [hits[v] for v in members]
+
+    def count_within(self, members: Iterable[int]) -> int:
+        """Number of cliques entirely inside ``members``."""
+        return sum(self.degrees_within(list(set(members)))) // self.h
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:

@@ -292,6 +292,22 @@ def denser_part(cs_s: CliqueSet) -> VertexSet:
     - Every piece of the split is strictly smaller than S (T is nonempty,
       and it is not all of S because compact numbers in G[S] average to
       d(S)), so a driver that replaces S by its pieces ends.
+
+    T is empty without any flow when every member of S lies in the same
+    number of S's cliques (instances, for patterns), so a driver may skip
+    the network for such an S:
+
+    - Let every member have clique degree D in G[S]. The degrees sum to h
+      times the clique count, so D / h = d(S).
+    - Give each clique a share 1/h at each of its h distinct members. Every
+      member then carries exactly D / h = d(S). This holds for repeated
+      pattern instances too: each is still one unit over its 4 members.
+    - Each clique inside a subset R of S puts all its shares on R, so
+      c(R) <= (sum of the shares on R) = |R| d(S), and d(R) <= d(S).
+      This is the fractional orientation bound that the flow certifies
+      (Goldberg 1984; Danisch et al., WWW 2017).
+    - No subgraph of G[S] is denser than S, so no compact number in G[S]
+      exceeds d(S) and T is empty.
     """
     n = len(cs_s.degree)
     if n == 0:

@@ -11,9 +11,13 @@ witness and its pieces go back on the stack. Every emission is gated by the
 exact flow verification, so the output is exact regardless of how
 approximate the proposals are.
 
-A popped candidate S costs one flow solve on its restricted cliques: the
-witness ``flow.denser_part`` is empty iff S is self-densest, and otherwise it
-is the split. Candidates and their pieces are held in the input graph's ids.
+A popped candidate S whose members all lie in the same number of S's cliques
+is self-densest by that count alone (the certificate in
+``flow.denser_part``'s docstring), so it costs no restriction and no flow
+network. Any other candidate costs one flow solve on its restricted cliques:
+the witness ``flow.denser_part`` is empty iff S is self-densest, and
+otherwise it is the split. Candidates and their pieces are held in the input
+graph's ids.
 
 Deviations from a purely literal driver, both exactness-preserving:
 stable groups are split into their connected components before stacking
@@ -95,6 +99,7 @@ class RunStats:
     pruned_vertices: int = 0
     zero_density_dropped: int = 0
     densest_checks: int = 0
+    densest_certified: int = 0  # densest checks decided by equal degrees
     verify_calls: int = 0
     verify_disagreements: int = 0
     emitted: int = 0
@@ -103,7 +108,10 @@ class RunStats:
 
     @property
     def flow_calls(self) -> int:
-        return self.densest_checks + self.verify_calls
+        """Flow networks built: one per densest check that equal degrees did
+        not decide, and one per verification (in fast mode a verification
+        can decide without one, so this is then an upper bound)."""
+        return self.densest_checks - self.densest_certified + self.verify_calls
 
 
 @dataclass
@@ -124,6 +132,7 @@ class _Candidate:
     vertices: VertexSet
     clique_count: int
     density: Fraction
+    equal_degrees: bool  # every member lies in the same number of cliques
 
 
 def ippv(g: Graph, cfg: PipelineConfig, *, stats: RunStats | None = None,
@@ -187,7 +196,11 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
             break
 
         stats.densest_checks += 1
-        inner = denser_part(restrict_cliques(cs, current.vertices))
+        if current.equal_degrees:
+            stats.densest_certified += 1
+            inner = ()
+        else:
+            inner = denser_part(restrict_cliques(cs, current.vertices))
         if not inner:
             if _verify(g, cs, current.vertices, bounds, emitted_flag, cfg, stats):
                 for v in current.vertices:
@@ -252,11 +265,19 @@ def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]]
     out: list[_Candidate] = []
     for part in parts:
         for comp in connected_components(g, part):
-            count = cs.count_within(set(comp))
+            degrees = cs.degrees_within(comp)
+            count = sum(degrees) // cs.h
             out.append(_Candidate(vertices=comp, clique_count=count,
-                                  density=Fraction(count, len(comp))))
+                                  density=Fraction(count, len(comp)),
+                                  equal_degrees=_all_equal(degrees)))
     out.sort(key=lambda c: (-c.density, c.vertices))
     return out
+
+
+def _all_equal(degrees: list[int]) -> bool:
+    """Whether a candidate with these clique degrees is self-densest by the
+    equal-degree certificate of ``flow.denser_part``."""
+    return min(degrees) == max(degrees)
 
 
 def _pop_positive(stack: list[_Candidate], stats: RunStats) -> _Candidate | None:

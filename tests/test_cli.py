@@ -118,4 +118,6 @@ def test_stats_on_stderr(k5_file, capsys):
     assert payload["rounds"] >= 1
     # the one round runs 20 weight rounds over all 10 triangles
     assert payload["fw_updates"] == 20 * 10 * payload["rounds"]
+    # every K5 vertex lies in 6 triangles: no densest check needs a network
+    assert payload["densest_certified"] == payload["densest_checks"] == 1
     assert "wall_seconds" in payload

@@ -202,6 +202,18 @@ def test_restrict_cliques_matches_bruteforce(kind):
         assert cs.count_within(set(everyone)) == len(cs.cliques)
 
 
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_degrees_within_matches_bruteforce(kind):
+    for rng, g, cs in _seeded_sets(kind):
+        for _ in range(4):
+            members = rng.sample(range(g.n), rng.randint(1, g.n))  # any order
+            inside = [c for c in cs.cliques if set(c) <= set(members)]
+            assert cs.degrees_within(members) == \
+                [sum(v in c for c in inside) for v in members]
+            assert cs.count_within(members) == len(inside)
+        assert cs.degrees_within(range(g.n)) == cs.degree
+
+
 def test_restrict_cliques_matches_reenumeration():
     from lhcds import induced_subgraph
     rng = random.Random(5)

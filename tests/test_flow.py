@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lhcds.flow as flow_mod
 from lhcds import (BoundaryClique, Bounds, build_network, clique_core_numbers,
                    connected_components, derive_compact, enumerate_cliques,
-                   induced_subgraph, initialize_bounds, is_densest, min_cut,
-                   oracle_compact_numbers, oracle_compactness, restrict_cliques,
-                   verify_basic, verify_fast)
+                   enumerate_patterns, induced_subgraph, initialize_bounds,
+                   is_densest, min_cut, oracle_compact_numbers,
+                   oracle_compactness, restrict_cliques, verify_basic,
+                   verify_fast)
+from lhcds.flow import denser_part
 from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
                           _instance_count_by_mask, _mask_to_tuple)
 from helpers import (clique_edges, gnp, k4_pendant, k5_k4_bridge_edge, k_n,
@@ -143,6 +145,39 @@ def test_is_densest():
     assert is_densest(enumerate_cliques(tri, 3))
     with pytest.raises(ValueError):
         is_densest(enumerate_cliques(Graph.from_edges(0, []), 3))
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                 else st.just([]))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.sampled_from([2, 3, 4, "diamond"]))
+def test_equal_degree_sets_are_self_densest(g, kind):
+    # a connected S whose members all lie in the same number of S's
+    # instances has no denser subset, and denser_part finds none
+    cs = enumerate_cliques(g, kind) if isinstance(kind, int) \
+        else enumerate_patterns(g, kind)
+    adj = _adj_masks(g)
+    count = _instance_count_by_mask(g.n, cs.cliques)
+    for mask in range(1, 1 << g.n):
+        if not _connected(adj, mask):
+            continue
+        s = _mask_to_tuple(mask)
+        degrees = cs.degrees_within(s)
+        if min(degrees) != max(degrees):
+            continue
+        assert denser_part(restrict_cliques(cs, s)) == ()
+        size = len(s)
+        sub = mask
+        while sub:
+            assert count[sub] * size <= count[mask] * sub.bit_count()
+            sub = (sub - 1) & mask
 
 
 def test_verify_basic_examples():

@@ -86,7 +86,9 @@ def test_stats_counters():
     assert st.clique_count == 8
     assert st.rounds >= 1
     assert st.emitted == 2
-    assert st.flow_calls == st.densest_checks + st.verify_calls > 0
+    # both K4s have equal triangle degrees: no densest check builds a network
+    assert st.densest_certified == st.densest_checks == 2
+    assert st.flow_calls == st.verify_calls == 2
 
 
 def test_fw_updates_counts_every_round():
@@ -105,8 +107,9 @@ def test_fw_updates_counts_every_round():
 
 @pytest.mark.time_limit(10)
 def test_flow_calls_counts_every_network(monkeypatch):
-    # Every densest check builds one network and so does every basic
-    # verification; a split must not build its candidate's network again.
+    # Every densest check builds one network unless equal clique degrees
+    # decide it, and every basic verification builds one; a split must not
+    # build its candidate's network again.
     built = []
     real = flow.build_network
 
@@ -115,15 +118,21 @@ def test_flow_calls_counts_every_network(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(flow, "build_network", counting)
-    g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
-    stats = RunStats()
-    ippv(g, PipelineConfig(h=3, k=1, emit_all=True, verify_mode="basic"),
-         stats=stats)
-    # a densest check that passes leads to one verification, one that fails
-    # to a split
-    assert stats.densest_checks > stats.verify_calls
-    assert len(built) == stats.flow_calls == \
-        stats.densest_checks + stats.verify_calls
+    certified = []
+    for p in (0.7, 1.0):
+        built.clear()
+        g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=p)
+        stats = RunStats()
+        ippv(g, PipelineConfig(h=3, k=1, emit_all=True, verify_mode="basic"),
+             stats=stats)
+        # a densest check that passes leads to one verification, one that
+        # fails to a split
+        assert stats.densest_checks > stats.verify_calls
+        assert len(built) == stats.flow_calls == stats.densest_checks - \
+            stats.densest_certified + stats.verify_calls
+        certified.append(stats.densest_certified)
+    # blocks at p=0.7 are not regular; complete blocks are
+    assert certified[0] == 0 < certified[1]
 
 
 def test_config_validation():

@@ -16,10 +16,12 @@ then compared with ``emit_all`` on seeded planted graphs of 30-300 vertices.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from lhcds import pipeline
 from lhcds import (PipelineConfig, RunStats, connected_components,
                    derive_compact, enumerate_cliques, induced_subgraph,
                    ippv, is_densest, oracle_compact_numbers, oracle_lhcds,
@@ -127,3 +129,17 @@ def test_emit_all_matches_reference(seed):
     assert sorted((r.members, r.density) for r in got) == \
         _reference_lhcds(g, enumerate_cliques(g, h))
     assert stats.verify_disagreements == 0
+
+
+@pytest.mark.time_limit(10)
+@pytest.mark.parametrize("seed", range(40))
+def test_equal_degree_certificate_changes_nothing(seed, monkeypatch):
+    # the same run with every densest check decided by a flow network
+    g, h = _planted_case(seed)
+    cfg = PipelineConfig(h=h, k=1, emit_all=True)
+    stats = RunStats()
+    got = ippv(g, cfg, stats=stats)
+    monkeypatch.setattr(pipeline, "_all_equal", lambda degrees: False)
+    forced = RunStats()
+    assert ippv(g, cfg, stats=forced) == got
+    assert forced == replace(stats, densest_certified=0)
