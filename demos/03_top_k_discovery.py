@@ -41,5 +41,8 @@ print(f"\nrounds: {stats.rounds}, candidates proposed: "
       f"{stats.candidates_proposed}, vertices pruned: {stats.pruned_vertices}")
 print(f"self-densest checks: {stats.densest_checks}, "
       f"{stats.densest_certified} decided by equal clique degrees")
-print(f"flow networks: at most {stats.flow_calls} "
-      f"(maximality checks: {stats.verify_calls})")
+print(f"maximality checks: {stats.verify_calls} "
+      f"({stats.verify_early_accept} accepted and "
+      f"{stats.verify_early_reject} rejected by the bounds alone, "
+      f"{stats.verify_flow} by flow)")
+print(f"flow networks built: {stats.flow_calls}")

@@ -112,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
             "densest_checks": stats.densest_checks,
             "densest_certified": stats.densest_certified,
             "verify_calls": stats.verify_calls,
+            "verify_early_accept": stats.verify_early_accept,
+            "verify_early_reject": stats.verify_early_reject,
+            "verify_flow": stats.verify_flow,
             "flow_calls": stats.flow_calls,
             "emitted": stats.emitted,
             "fw_updates": stats.fw_updates,

@@ -21,7 +21,7 @@ set alone and work on its vertices 0..len(cs.degree)-1; a subproblem on S is
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm, nextafter
@@ -343,6 +343,18 @@ def _float_bracket(rho: Fraction) -> tuple[float, float]:
     return nextafter(f, -inf), nextafter(f, inf)
 
 
+def _interior_members(cs: CliqueSet, s: Sequence[int],
+                      degrees: Sequence[int], lower: Sequence[float],
+                      hot_at: float, output_membership: Sequence[bool]
+                      ) -> set[int]:
+    """The members of s whose cliques ``verify_fast`` need not walk: those
+    whose degree inside s (``degrees[i]`` for ``s[i]``) is their whole
+    clique degree, or none when a member of s is hot or already output."""
+    if any(lower[v] >= hot_at or output_membership[v] for v in s):
+        return set()
+    return {v for v, d in zip(s, degrees) if d == cs.degree[v]}
+
+
 def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
     """Whole-graph verification that G[s] is a maximal compact component.
 
@@ -357,7 +369,9 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
-                output_membership: Sequence[bool] | None = None) -> bool:
+                output_membership: Sequence[bool] | None = None, *,
+                degrees: Sequence[int] | None = None,
+                paths: Counter[str] | None = None) -> bool:
     """Verification on a bound-guided expansion of the candidate.
 
     A breadth-first search grows T from s through cliques and edges that the
@@ -377,16 +391,49 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     rho) when its upper bound is at most the largest float below rho, and
     hot (lower bound above rho) when its lower bound is at least the
     smallest float above rho. For float bounds these are the exact compares.
+
+    ``degrees[i]`` is the number of cliques inside s that hold ``s[i]``
+    (``CliqueSet.degrees_within(s)``, for distinct members); it is computed
+    when not given. When no member of s is hot or already output, the walk
+    skips the cliques of every interior member: one whose degree inside s is
+    its whole clique degree. That changes no verdict:
+
+    - Every clique of an interior member v lies inside s. One with a dead
+      member is passed over whoever meets it.
+    - In any other, no member is hot, so all h count (cnt == h) whichever
+      member walks it, and none is output: the clique is neither a border
+      clique nor flagged. (The walk takes in no hot vertex, so with none in
+      s, T holds none, and cnt cannot depend on who walks a clique.)
+    - Walking it would only put its members into T, and they are members of
+      s, which the outer loop puts into T anyway.
+
+    So T and the border cliques are the same, and with them the flow
+    verdict. The walk may meet the remaining cliques in another order. That
+    can only decide whether an output vertex outside s was already in T when
+    one of its cliques was met, so it cannot move an early accept (T is s, so
+    no outside vertex is ever in T). It can move a call between an early
+    reject and the flow, which give the same answer.
+
+    When ``paths`` is given, its key ``"early_accept"``, ``"early_reject"``
+    or ``"flow"`` is incremented by how the call decided.
     """
     s_set = _candidate_set(g, s)
     if output_membership is None:
         output_membership = [False] * g.n
-    rho = Fraction(cs.count_within(s_set), len(s_set))
+    if paths is None:
+        paths = Counter()
+    if degrees is None:
+        s = sorted(s_set)
+        degrees = cs.degrees_within(s)
+    rho = Fraction(sum(degrees) // cs.h, len(s_set))
     dead_at, hot_at = _float_bracket(rho)
     upper, lower = bounds.upper, bounds.lower
     cliques = cs.cliques
+    incidence = cs.incidence
     h = cs.h
 
+    interior = _interior_members(cs, s, degrees, lower, hot_at,
+                                 output_membership)
     in_t = bytearray(g.n)
     t_list: list[int] = []
     queue: deque[int] = deque()
@@ -404,7 +451,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
         while queue:
             v = queue.popleft()
             v_in_s = v in s_set
-            for cid in cs.incidence[v]:
+            for cid in () if v in interior else incidence[v]:
                 if visited[cid]:
                     continue
                 visited[cid] = 1
@@ -440,9 +487,12 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
                     t_list.append(w)
                     queue.append(w)
     if clean and len(t_list) == len(s_set):
+        paths["early_accept"] += 1
         return True
     if rejected:
+        paths["early_reject"] += 1
         return False
+    paths["flow"] += 1
 
     t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}

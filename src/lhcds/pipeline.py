@@ -17,7 +17,10 @@ is self-densest by that count alone (the certificate in
 network. Any other candidate costs one flow solve on its restricted cliques:
 the witness ``flow.denser_part`` is empty iff S is self-densest, and
 otherwise it is the split. Candidates and their pieces are held in the input
-graph's ids.
+graph's ids, each with its members' clique degrees inside it from the one
+``CliqueSet.degrees_within`` walk that counts its cliques. The equal-degree
+test reads them, and so does ``flow.verify_fast``, which then need not walk
+the cliques of a member whose cliques all lie inside S.
 
 Deviations from a purely literal driver, both exactness-preserving:
 stable groups are split into their connected components before stacking
@@ -39,6 +42,7 @@ rounds; each round's pruning uses working-graph-valid local bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -101,6 +105,11 @@ class RunStats:
     densest_checks: int = 0
     densest_certified: int = 0  # densest checks decided by equal degrees
     verify_calls: int = 0
+    # how verifications decided: verify_fast without a network (early
+    # accept, early reject), or by a flow network (every verify_basic call)
+    verify_early_accept: int = 0
+    verify_early_reject: int = 0
+    verify_flow: int = 0
     verify_disagreements: int = 0
     emitted: int = 0
     max_iterations_used: int = 0  # cfg.iterations: the count never changes
@@ -109,9 +118,8 @@ class RunStats:
     @property
     def flow_calls(self) -> int:
         """Flow networks built: one per densest check that equal degrees did
-        not decide, and one per verification (in fast mode a verification
-        can decide without one, so this is then an upper bound)."""
-        return self.densest_checks - self.densest_certified + self.verify_calls
+        not decide, and one per verification that took the flow."""
+        return self.densest_checks - self.densest_certified + self.verify_flow
 
 
 @dataclass
@@ -132,7 +140,7 @@ class _Candidate:
     vertices: VertexSet
     clique_count: int
     density: Fraction
-    equal_degrees: bool  # every member lies in the same number of cliques
+    degrees: list[int]  # degrees[i]: cliques inside the set that hold vertices[i]
 
 
 def ippv(g: Graph, cfg: PipelineConfig, *, stats: RunStats | None = None,
@@ -196,13 +204,13 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
             break
 
         stats.densest_checks += 1
-        if current.equal_degrees:
+        if _all_equal(current.degrees):
             stats.densest_certified += 1
             inner = ()
         else:
             inner = denser_part(restrict_cliques(cs, current.vertices))
         if not inner:
-            if _verify(g, cs, current.vertices, bounds, emitted_flag, cfg, stats):
+            if _verify(g, cs, current, bounds, emitted_flag, cfg, stats):
                 for v in current.vertices:
                     emitted_flag[v] = True
                 results.append(ResultRecord(
@@ -269,7 +277,7 @@ def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]]
             count = sum(degrees) // cs.h
             out.append(_Candidate(vertices=comp, clique_count=count,
                                   density=Fraction(count, len(comp)),
-                                  equal_degrees=_all_equal(degrees)))
+                                  degrees=degrees))
     out.sort(key=lambda c: (-c.density, c.vertices))
     return out
 
@@ -294,16 +302,24 @@ def _pop_positive(stack: list[_Candidate], stats: RunStats) -> _Candidate | None
     return None
 
 
-def _verify(g: Graph, cs: CliqueSet, s: VertexSet, bounds: Bounds,
+def _verify(g: Graph, cs: CliqueSet, cand: _Candidate, bounds: Bounds,
             emitted_flag: list[bool], cfg: PipelineConfig,
             stats: RunStats) -> bool:
     stats.verify_calls += 1
-    if cfg.cross_check:
+    s = cand.vertices
+    if cfg.verify_mode == "basic" or cfg.cross_check:
         basic = verify_basic(g, cs, s)
-        fast = verify_fast(g, cs, s, bounds, emitted_flag)
+        stats.verify_flow += 1
+        if not cfg.cross_check:
+            return basic
+    paths: Counter[str] = Counter()
+    fast = verify_fast(g, cs, s, bounds, emitted_flag, degrees=cand.degrees,
+                       paths=paths)
+    stats.verify_early_accept += paths["early_accept"]
+    stats.verify_early_reject += paths["early_reject"]
+    stats.verify_flow += paths["flow"]
+    if cfg.cross_check:
         if basic != fast:
             stats.verify_disagreements += 1
         return basic
-    if cfg.verify_mode == "basic":
-        return verify_basic(g, cs, s)
-    return verify_fast(g, cs, s, bounds, emitted_flag)
+    return fast

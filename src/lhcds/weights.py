@@ -8,10 +8,14 @@ totals written earlier in the same round, so a state must not be iterated
 from two threads at once.
 
 Shares live in one flat list, clique ``cid``'s at offsets ``cid*h`` to
-``cid*h + h - 1``, so a round rescales all of them in one list
-comprehension instead of a loop per clique. Triangles (h = 3) take an
-unrolled argmin step; larger cliques and pattern instances take the
-generic one. Every share and load is the result of the same float
+``cid*h + h - 1``. Only the loads steer the iteration, so only they are
+rescaled every round; a round records which position each clique tops up,
+and the shares are written once, when the call ends. Cliques that start
+from the same shares and make the same picks end with the same shares, so
+each such class is replayed once: the 79,085 triangles of eight K40s in
+sparse noise fall into 21,892 classes over 20 rounds. Triangles
+(h = 3) take an unrolled argmin step; larger cliques and pattern instances
+take the generic one. Every share and load is the result of the same float
 operations in the same order as the plain per-clique update: which member
 a clique tops up is decided by strict ``<`` on those floats, so a single
 reordered rounding can move a tie, and with it the stable groups and the
@@ -21,6 +25,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .cliques import CliqueSet
 
@@ -62,20 +67,22 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     Round t (starting at rounds_done+1) scales all shares and loads by
     1 - 1/(t+1), then walks cliques in id order adding 1/(t+1) to the share
     and load of each clique's minimum-load member. Ties pick the smallest
-    vertex id (member tuples are sorted). T=0 is the identity. ``ws.share``
-    and ``ws.load`` are replaced by rescaled lists each round, so earlier
-    references to them go stale.
+    vertex id (member tuples are sorted). T=0 is the identity. ``ws.load``
+    is replaced by a rescaled list each round and ``ws.share`` once per
+    call (see ``_replay``), so earlier references to them go stale.
     """
     cliques = ws.cs.cliques
     h = ws.cs.h
-    share = ws.share
     load = ws.load
+    chosen: list[bytearray] = []  # chosen[k][cid]: the position topped up
+    steps: list[tuple[float, float]] = []
     for t in range(ws.rounds_done + 1, ws.rounds_done + rounds + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
+        steps.append((keep, gamma))
         load = [x * keep for x in load]
-        share = [x * keep for x in share]
-        base = 0
+        picks = bytearray()
+        put = picks.append
         if h == 3:
             for a, b, c in cliques:
                 la = load[a]
@@ -83,18 +90,17 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                 lc = load[c]
                 if lb < la:
                     if lc < lb:
-                        share[base + 2] += gamma
                         load[c] = lc + gamma
+                        put(2)
                     else:
-                        share[base + 1] += gamma
                         load[b] = lb + gamma
+                        put(1)
                 elif lc < la:
-                    share[base + 2] += gamma
                     load[c] = lc + gamma
+                    put(2)
                 else:
-                    share[base] += gamma
                     load[a] = la + gamma
-                base += 3
+                    put(0)
         else:
             for members in cliques:
                 best_pos = 0
@@ -104,13 +110,54 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                     if li < best:
                         best = li
                         best_pos = i
-                share[base + best_pos] += gamma
                 load[members[best_pos]] = best + gamma
-                base += h
-    ws.share = share
+                put(best_pos)
+        chosen.append(picks)
+    if chosen:
+        ws.share = _replay(ws.share, h, chosen, steps)
     ws.load = load
     ws.rounds_done += rounds
     return ws
+
+
+def _replay(share: list[float], h: int, chosen: list[bytearray],
+            steps: list[tuple[float, float]]) -> list[float]:
+    """The flat shares after the recorded rounds.
+
+    Round k scales every share by ``steps[k][0]`` and then adds
+    ``steps[k][1]`` to position ``chosen[k][cid]`` of clique cid: in one
+    expression, ``x * keep + gamma``, which rounds twice exactly as the
+    eager ``x *= keep; x += gamma`` does. Cliques with the same start shares
+    and the same picks are replayed once. Many classes go one round at a
+    time, one comprehension per position over all classes. A few go one
+    class at a time: each comprehension costs about as much to start as a
+    dozen replay steps, and calls on small working sets have a handful of
+    classes.
+    """
+    classes: dict[tuple, int] = {}
+    ids = [classes.setdefault(key, len(classes))
+           for key in zip(zip(*[iter(share)] * h), zip(*chosen))]
+    if len(classes) < 16:
+        rows = []
+        for start, picks in classes:
+            row = []
+            for j, x in enumerate(start):
+                for (keep, gamma), p in zip(steps, picks):
+                    x = x * keep + gamma if p == j else x * keep
+                row.append(x)
+            rows.append(row)
+    else:
+        starts, picks = zip(*classes)
+        cols = [bytes(col) for col in zip(*picks)]
+        del classes, picks  # the pick tuples are most of the memory held
+        by_position = []
+        for j, xs in enumerate(zip(*starts)):
+            for (keep, gamma), col in zip(steps, cols):
+                xs = [x * keep + gamma if p == j else x * keep
+                      for x, p in zip(xs, col)]
+            by_position.append(xs)
+        rows = list(zip(*by_position))
+    return list(chain.from_iterable(map(rows.__getitem__, ids)))
 
 
 def objective(ws: WeightState) -> float:

@@ -120,4 +120,8 @@ def test_stats_on_stderr(k5_file, capsys):
     assert payload["fw_updates"] == 20 * 10 * payload["rounds"]
     # every K5 vertex lies in 6 triangles: no densest check needs a network
     assert payload["densest_certified"] == payload["densest_checks"] == 1
+    # the K5 is the whole graph: its bounds accept it without a network
+    assert payload["verify_early_accept"] == payload["verify_calls"] == 1
+    assert payload["verify_early_reject"] == payload["verify_flow"] == 0
+    assert payload["flow_calls"] == 0
     assert "wall_seconds" in payload

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -270,7 +271,9 @@ def test_verify_fast_examples():
     cs2, bounds2 = _tight_bounds(g2, 3)
     # the K4 side touches the K5 whose lower bound exceeds density 1:
     # rejected, in agreement with the whole-graph flow
-    assert not verify_fast(g2, cs2, (5, 6, 7, 8), bounds2)
+    paths = Counter()
+    assert not verify_fast(g2, cs2, (5, 6, 7, 8), bounds2, paths=paths)
+    assert paths == {"early_reject": 1}
     assert not verify_basic(g2, cs2, (5, 6, 7, 8))
 
 
@@ -285,8 +288,67 @@ def test_verify_fast_isolated_clique_needs_no_flow(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(flow_mod, "derive_compact", spy)
-    assert verify_fast(g, cs, (0, 1, 2, 3), bounds)
+    paths = Counter()
+    assert verify_fast(g, cs, (0, 1, 2, 3), bounds, paths=paths)
     assert calls == []  # early acceptance, no flow built
+    assert paths == {"early_accept": 1}
+
+
+def test_verify_fast_counts_the_flow_path():
+    # the bridge vertex's lower bound does not rule it out, so the K4 alone
+    # does not close the walk and the flow decides
+    g = two_k4_bridge_vertex()
+    cs = enumerate_cliques(g, 3)
+    bounds = Bounds(upper=[1.0] * 9, lower=[0.0] * 9)
+    paths = Counter()
+    assert verify_fast(g, cs, (0, 1, 2, 3), bounds, paths=paths) == \
+        verify_basic(g, cs, (0, 1, 2, 3))
+    assert paths == {"flow": 1}
+
+
+def test_interior_members_skip_only_when_safe():
+    # the K4 {0..3} (density 1) with the triangle {3, 4, 5} hanging off 3
+    g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
+    cs = enumerate_cliques(g, 3)
+    s = (0, 1, 2, 3)
+    degrees = cs.degrees_within(s)
+    assert degrees == [3, 3, 3, 3] and cs.degree[3] == 4
+    _, hot_at = flow_mod._float_bracket(Fraction(1))
+    lower = [1.0] * 6
+    no_output = [False] * 6
+
+    def interior(lower, output):
+        return flow_mod._interior_members(cs, s, degrees, lower, hot_at,
+                                          output)
+
+    # 3 has a boundary clique, so its cliques are walked
+    assert interior(lower, no_output) == {0, 1, 2}
+    # a hot member (lower bound the smallest float above rho) or an output
+    # member can change how a clique inside s is counted: skip nothing
+    hot = lower[:]
+    hot[1] = hot_at
+    assert interior(hot, no_output) == set()
+    output = no_output[:]
+    output[2] = True
+    assert interior(lower, output) == set()
+    # an output vertex outside s does not stop the skip
+    output = no_output[:]
+    output[4] = True
+    assert interior(lower, output) == {0, 1, 2}
+
+
+def test_verify_fast_degrees_match_recomputed():
+    # the driver passes the degrees it already has; without them the call
+    # computes its own, for s in any order
+    g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
+    cs, bounds = _tight_bounds(g, 3)
+    s = (0, 1, 2, 3)
+    for given_degrees in (None, cs.degrees_within(s)):
+        paths = Counter()
+        assert verify_fast(g, cs, s, bounds, degrees=given_degrees,
+                           paths=paths) == verify_basic(g, cs, s)
+    assert verify_fast(g, cs, (3, 1, 0, 2), bounds) == \
+        verify_fast(g, cs, s, bounds, degrees=cs.degrees_within(s))
 
 
 def test_verify_fast_explores_less_than_whole_graph():

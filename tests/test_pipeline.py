@@ -86,9 +86,11 @@ def test_stats_counters():
     assert st.clique_count == 8
     assert st.rounds >= 1
     assert st.emitted == 2
-    # both K4s have equal triangle degrees: no densest check builds a network
+    # both K4s have equal triangle degrees: no densest check builds a
+    # network, and the bounds settle both verifications without one
     assert st.densest_certified == st.densest_checks == 2
-    assert st.flow_calls == st.verify_calls == 2
+    assert st.verify_early_accept == st.verify_calls == 2
+    assert st.verify_early_reject == st.verify_flow == st.flow_calls == 0
 
 
 def test_fw_updates_counts_every_round():
@@ -108,8 +110,9 @@ def test_fw_updates_counts_every_round():
 @pytest.mark.time_limit(10)
 def test_flow_calls_counts_every_network(monkeypatch):
     # Every densest check builds one network unless equal clique degrees
-    # decide it, and every basic verification builds one; a split must not
-    # build its candidate's network again.
+    # decide it; every basic verification builds one, and a fast one only
+    # when its bounds do not decide. A split must not build its candidate's
+    # network again.
     built = []
     real = flow.build_network
 
@@ -118,21 +121,29 @@ def test_flow_calls_counts_every_network(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(flow, "build_network", counting)
-    certified = []
-    for p in (0.7, 1.0):
-        built.clear()
-        g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=p)
-        stats = RunStats()
-        ippv(g, PipelineConfig(h=3, k=1, emit_all=True, verify_mode="basic"),
-             stats=stats)
-        # a densest check that passes leads to one verification, one that
-        # fails to a split
-        assert stats.densest_checks > stats.verify_calls
-        assert len(built) == stats.flow_calls == stats.densest_checks - \
-            stats.densest_certified + stats.verify_calls
-        certified.append(stats.densest_certified)
-    # blocks at p=0.7 are not regular; complete blocks are
-    assert certified[0] == 0 < certified[1]
+    for mode in ("basic", "fast"):
+        certified = []
+        for p in (0.7, 1.0):
+            built.clear()
+            g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14,
+                        p=p)
+            stats = RunStats()
+            ippv(g, PipelineConfig(h=3, k=1, emit_all=True, verify_mode=mode),
+                 stats=stats)
+            # a densest check that passes leads to one verification, one
+            # that fails to a split
+            assert stats.densest_checks > stats.verify_calls
+            assert len(built) == stats.flow_calls == stats.densest_checks - \
+                stats.densest_certified + stats.verify_flow
+            assert stats.verify_early_accept + stats.verify_early_reject + \
+                stats.verify_flow == stats.verify_calls
+            if mode == "basic":
+                assert stats.verify_flow == stats.verify_calls
+            else:  # some fast verification still needs its network
+                assert 0 < stats.verify_flow < stats.verify_calls
+            certified.append(stats.densest_certified)
+        # blocks at p=0.7 are not regular; complete blocks are
+        assert certified[0] == 0 < certified[1]
 
 
 def test_config_validation():

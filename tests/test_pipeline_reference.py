@@ -16,16 +16,17 @@ then compared with ``emit_all`` on seeded planted graphs of 30-300 vertices.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lhcds import pipeline
+from lhcds import flow, pipeline
 from lhcds import (PipelineConfig, RunStats, connected_components,
                    derive_compact, enumerate_cliques, induced_subgraph,
                    ippv, is_densest, oracle_compact_numbers, oracle_lhcds,
-                   restrict_cliques)
+                   restrict_cliques, verify_basic)
 from lhcds.flow import denser_part
 from helpers import gnp, planted
 
@@ -143,3 +144,39 @@ def test_equal_degree_certificate_changes_nothing(seed, monkeypatch):
     forced = RunStats()
     assert ippv(g, cfg, stats=forced) == got
     assert forced == replace(stats, densest_certified=0)
+
+
+@pytest.mark.time_limit(60)
+def test_interior_skip_changes_no_verdict(monkeypatch):
+    # Every fast verification the driver makes on the 40 planted graphs,
+    # run again without the driver's degrees, with no member skipped and by
+    # the whole-graph flow. All four verdicts agree, and the early accept
+    # is the same with and without the skip.
+    real_verify, real_interior = flow.verify_fast, flow._interior_members
+    fired = []
+
+    def recording(*args):
+        found = real_interior(*args)
+        fired.append(len(found))
+        return found
+
+    def checking(g, cs, s, bounds, output, *, degrees, paths):
+        got = real_verify(g, cs, s, bounds, output, degrees=degrees,
+                          paths=paths)
+        assert real_verify(g, cs, s, bounds, output) == got
+        monkeypatch.setattr(flow, "_interior_members", lambda *args: set())
+        plain = Counter()
+        assert real_verify(g, cs, s, bounds, output, paths=plain) == got
+        assert plain["early_accept"] == paths["early_accept"]
+        monkeypatch.setattr(flow, "_interior_members", recording)
+        assert verify_basic(g, cs, s) == got
+        return got
+
+    monkeypatch.setattr(flow, "_interior_members", recording)
+    monkeypatch.setattr(pipeline, "verify_fast", checking)
+    for seed in range(40):
+        g, h = _planted_case(seed)
+        ippv(g, PipelineConfig(h=h, k=1, emit_all=True))
+    # two recorded calls per verification: the driver's and the recomputed
+    assert len(fired) > 100
+    assert sum(map(bool, fired)) > len(fired) // 4

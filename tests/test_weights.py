@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
                    enumerate_patterns, init_weights, objective,
-                   oracle_compact_numbers, run_iterations)
+                   oracle_compact_numbers, run_iterations,
+                   tentative_decomposition)
 from helpers import (gnp, k_n, planted, run_iterations_eager, share_rows,
                      triangle)
 
@@ -122,6 +123,56 @@ def test_run_iterations_matches_eager_on_planted_graph(h):
     cs = enumerate_cliques(g, h)
     _assert_same_bits(run_iterations(init_weights(cs), 20),
                       run_iterations_eager(init_weights(cs), 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 12),
+       st.sampled_from([2, 3, 4, *PATTERN_NAMES]), st.integers(1, 30),
+       st.integers(0, 30))
+def test_run_iterations_matches_eager_after_decomposition(seed, n, kind,
+                                                          first, then):
+    # the decomposition zeroes shares and spreads their weight, so a call
+    # that follows it starts from shares that are not all 1/h
+    cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
+    ws = run_iterations(init_weights(cs), first)
+    tentative_decomposition(cs, ws)
+    ref = run_iterations_eager(ws.copy(), then)
+    _assert_same_bits(run_iterations(ws, then), ref)
+
+
+def test_run_iterations_matches_eager_after_decomposition_on_planted_graph():
+    g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
+    cs = enumerate_cliques(g, 3)
+    ws = run_iterations(init_weights(cs), 20)
+    tentative_decomposition(cs, ws)
+    assert 0.0 in ws.share and len(set(ws.share)) > 100
+    ref = run_iterations_eager(ws.copy(), 20)
+    _assert_same_bits(run_iterations(ws, 20), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 9),
+       st.sampled_from([2, 3, 4, *PATTERN_NAMES]),
+       st.lists(st.integers(0, 90), min_size=1, max_size=4))
+def test_run_iterations_matches_eager_over_split_calls(seed, n, kind, calls):
+    # each call replays its own rounds from the shares the last one wrote
+    cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
+    ref = run_iterations_eager(init_weights(cs), sum(calls))
+    ws = init_weights(cs)
+    for rounds in calls:
+        run_iterations(ws, rounds)
+    _assert_same_bits(ws, ref)
+
+
+def test_run_iterations_matches_eager_over_long_calls():
+    # 150 rounds in one call: long pick histories, few repeated ones, on a
+    # K4 (a few classes, replayed one at a time) and on planted blocks (many
+    # classes, replayed one round at a time)
+    g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
+    for cs in (enumerate_cliques(k_n(4), 3), enumerate_cliques(g, 3),
+               enumerate_patterns(g, "diamond")):
+        _assert_same_bits(run_iterations(init_weights(cs), 150),
+                          run_iterations_eager(init_weights(cs), 150))
 
 
 def test_copy_is_independent():
