@@ -384,7 +384,11 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     rejection (such a vertex always extends a compact superset). Otherwise
     the flow check runs on the cliques inside T, with border cliques
     compensated at capacity h/cnt, and must return s as a connected
-    component. Agrees with verify_basic on every input.
+    component. Agrees with verify_basic when G[s] is self-densest (no subset
+    of s is denser), as every candidate the driver verifies is. On other
+    sets it can accept where verify_basic rejects: the walk starts at the
+    smallest member of s and checks only the other members of each clique
+    it meets, so a hot smallest member can go unflagged.
 
     The float bounds are compared with the exact density rho through two
     thresholds computed once per call: a vertex is dead (upper bound below
@@ -393,8 +397,10 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     smallest float above rho. For float bounds these are the exact compares.
 
     ``degrees[i]`` is the number of cliques inside s that hold ``s[i]``
-    (``CliqueSet.degrees_within(s)``, for distinct members); it is computed
-    when not given. When no member of s is hot or already output, the walk
+    (``CliqueSet.degrees_within(s)``); it is computed when not given. Given
+    degrees set rho and the interior members, so they are taken only with
+    s in strictly increasing order and of the same length: otherwise a
+    ValueError. When no member of s is hot or already output, the walk
     skips the cliques of every interior member: one whose degree inside s is
     its whole clique degree. That changes no verdict:
 
@@ -425,6 +431,8 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     if degrees is None:
         s = sorted(s_set)
         degrees = cs.degrees_within(s)
+    elif len(degrees) != len(s) or any(a >= b for a, b in zip(s, s[1:])):
+        raise ValueError("degrees need s sorted, distinct and of their length")
     rho = Fraction(sum(degrees) // cs.h, len(s_set))
     dead_at, hot_at = _float_bracket(rho)
     upper, lower = bounds.upper, bounds.lower

@@ -10,22 +10,22 @@ from two threads at once.
 Shares live in one flat list, clique ``cid``'s at offsets ``cid*h`` to
 ``cid*h + h - 1``. Only the loads steer the iteration, so only they are
 rescaled every round; a round records which position each clique tops up,
-and the shares are written once, when the call ends. Cliques that start
-from the same shares and make the same picks end with the same shares, so
-each such class is replayed once: the 79,085 triangles of eight K40s in
-sparse noise fall into 21,892 classes over 20 rounds. Triangles
-(h = 3) take an unrolled argmin step; larger cliques and pattern instances
-take the generic one. Every share and load is the result of the same float
-operations in the same order as the plain per-clique update: which member
-a clique tops up is decided by strict ``<`` on those floats, so a single
-reordered rounding can move a tie, and with it the stable groups and the
-output.
+and the shares are written once every ``_REPLAY_ROUNDS`` rounds (once per
+call at the default 20), so what a call holds for the writing does not
+grow with its rounds. Cliques that start from the same shares and make the
+same picks end with the same shares, so each such class is replayed once:
+the 79,085 triangles of eight K40s in sparse noise fall into 21,892
+classes over 20 rounds. Triangles (h = 3) take an unrolled argmin step;
+larger cliques and pattern instances take the generic one. Every share and
+load is the result of the same float operations in the same order as the
+plain per-clique update: which member a clique tops up is decided by
+strict ``<`` on those floats, so a single reordered rounding can move a
+tie, and with it the stable groups and the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .cliques import CliqueSet
 
@@ -61,6 +61,11 @@ def init_weights(cs: CliqueSet) -> WeightState:
     return WeightState(cs=cs, share=share, load=load)
 
 
+# Rounds recorded before the shares are written. The picks and the class
+# keys grow with it, and so does the memory of a long call.
+_REPLAY_ROUNDS = 20
+
+
 def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     """Run ``rounds`` sequential Frank-Wolfe rounds and return ws.
 
@@ -68,21 +73,39 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     1 - 1/(t+1), then walks cliques in id order adding 1/(t+1) to the share
     and load of each clique's minimum-load member. Ties pick the smallest
     vertex id (member tuples are sorted). T=0 is the identity. ``ws.load``
-    is replaced by a rescaled list each round and ``ws.share`` once per
-    call (see ``_replay``), so earlier references to them go stale.
+    is replaced by a rescaled list each round and ``ws.share`` once every
+    ``_REPLAY_ROUNDS`` rounds (see ``_replay``), so earlier references to
+    them go stale.
     """
-    cliques = ws.cs.cliques
     h = ws.cs.h
     load = ws.load
-    chosen: list[bytearray] = []  # chosen[k][cid]: the position topped up
-    steps: list[tuple[float, float]] = []
-    for t in range(ws.rounds_done + 1, ws.rounds_done + rounds + 1):
+    share = ws.share
+    last = ws.rounds_done + rounds
+    for first in range(ws.rounds_done + 1, last + 1, _REPLAY_ROUNDS):
+        stop = min(first + _REPLAY_ROUNDS, last + 1)
+        load, picks = _steer(ws.cs, load, first, stop)
+        share = _replay(share, h, picks, first, stop)
+    ws.share = share
+    ws.load = load
+    ws.rounds_done += rounds
+    return ws
+
+
+def _steer(cs: CliqueSet, load: list[float], first: int, stop: int
+           ) -> tuple[list[float], bytes]:
+    """Rounds ``first`` to ``stop - 1`` on the loads alone.
+
+    Returns the new loads and the picks: byte ``k*m + cid`` (m cliques) is
+    the position that clique cid topped up in round ``first + k``.
+    """
+    cliques = cs.cliques
+    h = cs.h
+    picks = bytearray()
+    put = picks.append
+    for t in range(first, stop):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
-        steps.append((keep, gamma))
         load = [x * keep for x in load]
-        picks = bytearray()
-        put = picks.append
         if h == 3:
             for a, b, c in cliques:
                 la = load[a]
@@ -112,52 +135,42 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                         best_pos = i
                 load[members[best_pos]] = best + gamma
                 put(best_pos)
-        chosen.append(picks)
-    if chosen:
-        ws.share = _replay(ws.share, h, chosen, steps)
-    ws.load = load
-    ws.rounds_done += rounds
-    return ws
+    return load, bytes(picks)
 
 
-def _replay(share: list[float], h: int, chosen: list[bytearray],
-            steps: list[tuple[float, float]]) -> list[float]:
-    """The flat shares after the recorded rounds.
+def _replay(share: list[float], h: int, picks: bytes, first: int, stop: int
+            ) -> list[float]:
+    """The flat shares after rounds ``first`` to ``stop - 1``, whose picks
+    ``_steer`` recorded.
 
-    Round k scales every share by ``steps[k][0]`` and then adds
-    ``steps[k][1]`` to position ``chosen[k][cid]`` of clique cid: in one
-    expression, ``x * keep + gamma``, which rounds twice exactly as the
-    eager ``x *= keep; x += gamma`` does. Cliques with the same start shares
-    and the same picks are replayed once. Many classes go one round at a
-    time, one comprehension per position over all classes. A few go one
-    class at a time: each comprehension costs about as much to start as a
-    dozen replay steps, and calls on small working sets have a handful of
-    classes.
+    Round t scales every share by ``keep = 1 - 1/(t+1)`` and then adds
+    ``gamma = 1/(t+1)`` to the picked position: in one expression,
+    ``x * keep + gamma``, which rounds twice exactly as the eager
+    ``x *= keep; x += gamma`` does. Cliques with the same start shares and
+    the same picks are one class, keyed by a bytes of picks, and each class
+    is replayed once: one round at a time, one comprehension per position
+    over all classes.
     """
-    classes: dict[tuple, int] = {}
+    m = len(share) // h
+    classes: dict[tuple[tuple[float, ...], bytes], int] = {}
     ids = [classes.setdefault(key, len(classes))
-           for key in zip(zip(*[iter(share)] * h), zip(*chosen))]
-    if len(classes) < 16:
-        rows = []
-        for start, picks in classes:
-            row = []
-            for j, x in enumerate(start):
-                for (keep, gamma), p in zip(steps, picks):
-                    x = x * keep + gamma if p == j else x * keep
-                row.append(x)
-            rows.append(row)
-    else:
-        starts, picks = zip(*classes)
-        cols = [bytes(col) for col in zip(*picks)]
-        del classes, picks  # the pick tuples are most of the memory held
-        by_position = []
-        for j, xs in enumerate(zip(*starts)):
-            for (keep, gamma), col in zip(steps, cols):
-                xs = [x * keep + gamma if p == j else x * keep
-                      for x, p in zip(xs, col)]
-            by_position.append(xs)
-        rows = list(zip(*by_position))
-    return list(chain.from_iterable(map(rows.__getitem__, ids)))
+           for key in zip(zip(*[iter(share)] * h),
+                          (picks[cid::m] for cid in range(m)))]
+    keys = list(classes)
+    del classes
+    rounds = stop - first
+    by_class = b"".join(p for _, p in keys)  # class c's picks at c*rounds
+    cols = [by_class[k::rounds] for k in range(rounds)]
+    out = [0.0] * len(share)
+    for j in range(h):
+        xs = [start[j] for start, _ in keys]
+        for t, col in zip(range(first, stop), cols):
+            gamma = 1.0 / (t + 1)
+            keep = 1.0 - gamma
+            xs = [x * keep + gamma if p == j else x * keep
+                  for x, p in zip(xs, col)]
+        out[j::h] = map(xs.__getitem__, ids)
+    return out
 
 
 def objective(ws: WeightState) -> float:

@@ -351,6 +351,22 @@ def test_verify_fast_degrees_match_recomputed():
         verify_fast(g, cs, s, bounds, degrees=cs.degrees_within(s))
 
 
+@pytest.mark.parametrize("s, degrees", [
+    ((3, 1, 0, 2), [3, 3, 3, 3]),        # unsorted s, degrees of sorted(s)
+    ((0, 1, 1, 2, 3), [3, 3, 3, 3, 3]),  # a repeated member
+    ((0, 1, 2, 3), [3, 3, 3]),           # one degree short
+    ((0, 1, 2, 3), [3, 3, 3, 3, 0]),     # one degree too many
+])
+def test_verify_fast_rejects_misaligned_degrees(s, degrees):
+    # given degrees set rho and pick the interior members by position, so a
+    # list that cannot pair with s is refused rather than trusted
+    g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
+    cs, bounds = _tight_bounds(g, 3)
+    assert cs.degrees_within((0, 1, 2, 3)) == [3, 3, 3, 3]
+    with pytest.raises(ValueError):
+        verify_fast(g, cs, s, bounds, degrees=degrees)
+
+
 def test_verify_fast_explores_less_than_whole_graph():
     g = two_k4_bridge_vertex()
     cs, bounds = _tight_bounds(g, 3)

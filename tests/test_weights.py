@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lhcds.weights as weights_mod
+
 from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
                    enumerate_patterns, init_weights, objective,
                    oracle_compact_numbers, run_iterations,
@@ -165,14 +167,42 @@ def test_run_iterations_matches_eager_over_split_calls(seed, n, kind, calls):
 
 
 def test_run_iterations_matches_eager_over_long_calls():
-    # 150 rounds in one call: long pick histories, few repeated ones, on a
-    # K4 (a few classes, replayed one at a time) and on planted blocks (many
-    # classes, replayed one round at a time)
+    # 150 rounds in one call: several replays, the last one short, each
+    # starting from the shares the one before wrote; on a K4 (a few classes)
+    # and on planted blocks (many classes)
     g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
     for cs in (enumerate_cliques(k_n(4), 3), enumerate_cliques(g, 3),
                enumerate_patterns(g, "diamond")):
         _assert_same_bits(run_iterations(init_weights(cs), 150),
                           run_iterations_eager(init_weights(cs), 150))
+
+
+def test_long_call_replays_at_most_20_rounds_at_once(monkeypatch):
+    # the recorded picks and class keys grow with the rounds one replay
+    # covers, so a long call is replayed in pieces to bound its memory
+    seen = []
+    replay = weights_mod._replay
+
+    def spy(share, h, picks, first, stop):
+        seen.append((first, stop))
+        return replay(share, h, picks, first, stop)
+
+    monkeypatch.setattr(weights_mod, "_replay", spy)
+    ws = run_iterations(init_weights(enumerate_cliques(k_n(5), 3)), 45)
+    assert seen == [(1, 21), (21, 41), (41, 46)]
+    run_iterations(ws, 0)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("replay_rounds", [1, 7, 1000])
+def test_replay_length_changes_no_bit(monkeypatch, replay_rounds):
+    # how many rounds go into one replay trades memory for time only
+    monkeypatch.setattr(weights_mod, "_REPLAY_ROUNDS", replay_rounds)
+    g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
+    cs = enumerate_cliques(g, 3)
+    ref = run_iterations_eager(init_weights(cs), 45)
+    ws = run_iterations(run_iterations(init_weights(cs), 13), 32)
+    _assert_same_bits(ws, ref)
 
 
 def test_copy_is_independent():
