@@ -2,7 +2,8 @@
 
 Three cliques of different sizes sit in a sea of random edges; the pipeline
 returns them in exact density order, each one verified maximal by the flow
-check. The run statistics show how much work the rounds did.
+check. The run statistics show how much work the propose and prune pass
+and the checks after it did.
 
 Run: python3 demos/03_top_k_discovery.py
 """
@@ -37,8 +38,8 @@ for r in records:
           f"{r.clique_count} triangles, density {r.density} "
           f"({float(r.density):.3f})")
 
-print(f"\nrounds: {stats.rounds}, candidates proposed: "
-      f"{stats.candidates_proposed}, vertices pruned: {stats.pruned_vertices}")
+print(f"\ncandidates proposed: {stats.candidates_proposed}, "
+      f"vertices pruned: {stats.pruned_vertices}")
 print(f"self-densest checks: {stats.densest_checks}, "
       f"{stats.densest_certified} decided by equal clique degrees")
 print(f"maximality checks: {stats.verify_calls} "

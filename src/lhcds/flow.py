@@ -322,10 +322,13 @@ def is_densest(cs_s: CliqueSet) -> bool:
 
 
 def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
-    """The candidate's vertex set; rejects an empty or disconnected one."""
+    """The candidate's vertex set; rejects an empty or disconnected one, and
+    one with an id outside 0..g.n-1."""
     s_set = set(s)
     if not s_set:
         raise ValueError("empty candidate")
+    if min(s_set) < 0 or max(s_set) >= g.n:
+        raise ValueError(f"vertex id out of range for n={g.n}")
     if len(connected_components(g, s_set)) != 1:
         raise ValueError("candidate is not connected")
     return s_set

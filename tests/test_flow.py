@@ -192,6 +192,19 @@ def test_verify_basic_examples():
         verify_basic(g, cs, (0, 5))  # disconnected
 
 
+@pytest.mark.parametrize("s", [(-4, -3, -2), (0, 1, 9)])
+def test_verifiers_reject_out_of_range_ids(s):
+    # a negative id would alias a vertex from the end, and one past n-1
+    # would index past the graph; both are refused as induced_subgraph does
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    cs, bounds = _tight_bounds(g, 3)
+    assert verify_basic(g, cs, (0, 1, 2))
+    for verify in (lambda: verify_basic(g, cs, s),
+                   lambda: verify_fast(g, cs, s, bounds)):
+        with pytest.raises(ValueError, match="vertex id out of range for n=4"):
+            verify()
+
+
 def _tight_bounds(g, h):
     cs = enumerate_cliques(g, h)
     return cs, initialize_bounds(clique_core_numbers(cs), h)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lhcds import (PipelineConfig, RunStats, enumerate_cliques, flow, ippv,
-                   ippv_pattern, oracle_lhcds, restrict_cliques, verify_basic)
+                   ippv_pattern, oracle_lhcds, verify_basic)
 from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
                      triangle, two_k4_bridge_vertex)
 
@@ -94,17 +94,16 @@ def test_stats_counters():
 
 
 def test_fw_updates_counts_every_round():
-    # one clique step per clique of the working set, per weight round
+    # one propose pass on the whole graph: one clique step per clique, per
+    # weight round; the worklist after it runs no weight iteration
     g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     cfg = PipelineConfig(h=3, k=3)
     cs = enumerate_cliques(g, 3)
     stats = RunStats()
     events = []
     ippv(g, cfg, stats=stats, on_round=events.append)
-    assert len(events) > 1
-    assert stats.fw_updates == sum(
-        cfg.iterations * len(restrict_cliques(cs, e.working).cliques)
-        for e in events) > 0
+    assert len(events) == stats.rounds == 1
+    assert stats.fw_updates == cfg.iterations * len(cs.cliques) > 0
 
 
 @pytest.mark.time_limit(10)
@@ -183,21 +182,21 @@ def test_pattern_unsupported():
 
 def _assert_terminates(g, cfg):
     """Runs the query (its caller's 10 s limit is about 20x the measured
-    time); every emitted set must pass whole-graph verification, and every
-    round must have fired on_round."""
+    time); every emitted set must pass whole-graph verification, and the
+    one propose pass must have fired on_round."""
     stats = RunStats()
     events = []
     got = ippv(g, cfg, stats=stats, on_round=events.append)
     assert got
     cs = enumerate_cliques(g, cfg.h)
     assert all(verify_basic(g, cs, r.members) for r in got)
-    assert len(events) == stats.rounds
+    assert stats.rounds == 1 == len(events)
     assert stats.max_iterations_used == cfg.iterations
 
 
 @pytest.mark.time_limit(10)
 def test_terminates_on_non_self_densest_working_set():
-    # Here the proposal returns an 87-vertex working set of density 52/29,
+    # Here the proposal returns an 87-vertex candidate of density 52/29,
     # which is not self-densest, as one stable group at any iteration count;
     # only splitting it by its flow witness gets past it.
     g = planted(1, n=1500, m=10_000, blocks=20, size_lo=6, size_hi=14, p=0.7)

@@ -12,7 +12,8 @@ driver's proposal, pruning and verification:
   is self-densest.
 
 The reference is checked against the brute-force oracle on tiny graphs and
-then compared with ``emit_all`` on seeded planted graphs of 30-300 vertices.
+then compared with ``emit_all``, and with top-k queries, on seeded planted
+graphs of 30-300 vertices.
 """
 
 import random
@@ -130,6 +131,22 @@ def test_emit_all_matches_reference(seed):
     assert sorted((r.members, r.density) for r in got) == \
         _reference_lhcds(g, enumerate_cliques(g, h))
     assert stats.verify_disagreements == 0
+
+
+@pytest.mark.time_limit(10)
+@pytest.mark.parametrize("seed", range(40))
+def test_top_k_records_are_reference_lhcds(seed):
+    # below the number of locally densest subgraphs a query stops early:
+    # each record it returns must still be one of them, and they must not
+    # overlap
+    g, h = _planted_case(seed)
+    reference = _reference_lhcds(g, enumerate_cliques(g, h))
+    for k in (1, 2, 3, 5):
+        got = ippv(g, PipelineConfig(h=h, k=k))
+        assert len(got) == min(k, len(reference))
+        assert all((r.members, r.density) in reference for r in got)
+        members = [v for r in got for v in r.members]
+        assert len(members) == len(set(members))
 
 
 @pytest.mark.time_limit(10)
