@@ -9,6 +9,7 @@ the exact unreduced fraction "count/size" plus a decimal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -103,23 +104,9 @@ def main(argv: list[str] | None = None) -> int:
 
     _emit(_records_to_rows(records), args.output)
     if args.stats:
-        payload = {
-            "n": g.n, "m": g.m,
-            "clique_count": stats.clique_count,
-            "rounds": stats.rounds,
-            "candidates_proposed": stats.candidates_proposed,
-            "pruned_vertices": stats.pruned_vertices,
-            "densest_checks": stats.densest_checks,
-            "densest_certified": stats.densest_certified,
-            "verify_calls": stats.verify_calls,
-            "verify_early_accept": stats.verify_early_accept,
-            "verify_early_reject": stats.verify_early_reject,
-            "verify_flow": stats.verify_flow,
-            "flow_calls": stats.flow_calls,
-            "emitted": stats.emitted,
-            "fw_updates": stats.fw_updates,
-            "wall_seconds": round(time.monotonic() - started, 6),
-        }
+        payload = {"n": g.n, "m": g.m, **dataclasses.asdict(stats),
+                   "flow_calls": stats.flow_calls,
+                   "wall_seconds": round(time.monotonic() - started, 6)}
         print(json.dumps(payload), file=sys.stderr)
     return 0
 

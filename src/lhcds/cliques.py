@@ -5,9 +5,10 @@ weight-distribution state and the verification flow networks both index into
 it. Enumeration walks the degeneracy-ordered DAG: each edge points from the
 endpoint peeled earlier to the one peeled later, and ``degeneracy_order``
 peels from per-degree heaps of vertex ids. Triangles come from one flat loop
-over each vertex's successor pairs (Chiba and Nishizeki, 1985); larger
-cliques from recursive intersection of successor lists (kClist, Danisch et
-al., 2018). Each clique is listed once, as its rank-ordered chain.
+over each vertex's successor pairs (Chiba and Nishizeki, 1985); other sizes
+from recursive intersection of successor lists (kClist, Danisch et al.,
+2018), where at h = 2 each edge comes from its earlier-peeled endpoint.
+Each clique is listed once, as its rank-ordered chain.
 
 The smallest-id tie-break of the peeling order matters for speed, not
 output: it lists a dense block's cliques in nearly lexicographic order, so
@@ -87,13 +88,6 @@ def enumerate_cliques(g: Graph, h: int) -> CliqueSet:
         raise ValueError(f"clique size must be >= 2, got {h}")
     adj = g.adj
     out: list[tuple[int, ...]] = []
-    if h == 2:
-        for v in range(g.n):
-            for w in adj[v]:
-                if v < w:
-                    out.append((v, w))
-        return _index_cliques(2, out, g.n)
-
     rank = [0] * g.n
     for i, v in enumerate(degeneracy_order(g)):
         rank[v] = i

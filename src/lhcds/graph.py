@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
+from operator import lt
 from typing import IO, Iterable
 
 log = logging.getLogger(__name__)
@@ -23,21 +25,28 @@ VertexSet = tuple[int, ...]
 class Graph:
     """Undirected simple graph with sorted neighbor lists.
 
-    ``labels[i]`` is the external id of internal vertex ``i`` (identity when the
-    graph was built programmatically). ``dropped_self_loops`` and
-    ``dropped_duplicates`` count edges discarded during ingestion.
+    ``labels[i]`` is the external id of internal vertex ``i`` (identity when
+    none are given). ``dropped_self_loops`` and ``dropped_duplicates`` count
+    edges discarded during ingestion.
     """
 
     n: int
     m: int
     adj: tuple[VertexSet, ...]
-    labels: tuple[int, ...] = field(default=())
+    labels: tuple[int, ...] | None = None
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
 
     def __post_init__(self):
-        if not self.labels:
+        if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(self.n)))
+        elif len(self.labels) != self.n:
+            raise ValueError(f"{len(self.labels)} labels for n={self.n}")
+        elif not all(map(lt, self.labels, islice(self.labels, 1, None))) \
+                and len(set(self.labels)) != self.n:
+            # increasing labels (as parsed) are distinct; skipping the set
+            # keeps it off the parse's peak memory
+            raise ValueError("labels repeat an external id")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -59,16 +68,13 @@ class Graph:
         adj = tuple(tuple(sorted(s)) for s in nbrs)
         m = sum(len(a) for a in adj) // 2
         return cls(n=n, m=m, adj=adj,
-                   labels=tuple(labels) if labels is not None else (),
+                   labels=tuple(labels) if labels is not None else None,
                    dropped_self_loops=loops, dropped_duplicates=dups)
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
 
 def parse_edge_list(source: str | bytes | IO) -> Graph:

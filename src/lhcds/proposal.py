@@ -47,7 +47,8 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     prefix; the comparison is exact integer arithmetic. For each clique
     spanning multiple blocks, the weight its members hold outside the last
     touched block is zeroed (exact zeros) and redistributed equally among its
-    members inside that block; ws's shares and loads are updated in place.
+    members inside that block; ws's shares and loads are updated in place,
+    and ``run_iterations`` refuses ws from then on.
     """
     n = len(cs.degree)
     order = sorted(range(n), key=lambda v: (-ws.load[v], v))
@@ -108,6 +109,7 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     for v, x in zip(chain.from_iterable(cs.cliques), share):
         load[v] += x
     ws.load = load
+    ws.picks = None
     return Partition(groups=groups, order=order)
 
 

@@ -121,22 +121,29 @@ def degeneracy_order_heap(g: Graph) -> list[int]:
 def run_iterations_eager(ws, rounds: int):
     """Reference weight iteration: the plain per-clique update, in place.
 
-    Every round rescales each load and share by 1 - 1/(t+1) with ``*=``,
-    then walks cliques in id order, finds the minimum-load member with a
-    strict ``<`` (so the smallest position wins ties) and adds 1/(t+1) to
-    its share and load. ``run_iterations`` must match it bit for bit.
+    Every round rescales each load by 1 - 1/(t+1) with ``*=``, then walks
+    cliques in id order, finds the minimum-load member with a strict ``<``
+    (so the smallest position wins ties) and adds 1/(t+1) to its load:
+    ``run_iterations`` must match these float loads bit for bit. Shares are
+    exact: each is multiplied by t/(t+1), and the picked one gains 1/(t+1),
+    all in ``Fraction``s, starting from exactly 1/h when ``ws`` comes from
+    ``init_weights``. ``run_iterations`` must hold ``float()`` of them.
     """
     cliques = ws.cs.cliques
     h = ws.cs.h
+    if ws.rounds_done == 0:
+        ws.share = [Fraction(1, h)] * len(ws.share)
     share = ws.share
     load = ws.load
     for t in range(ws.rounds_done + 1, ws.rounds_done + rounds + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
+        exact_keep = Fraction(t, t + 1)
+        exact_gamma = Fraction(1, t + 1)
         for v in range(len(load)):
             load[v] *= keep
         for i in range(len(share)):
-            share[i] *= keep
+            share[i] *= exact_keep
         for cid, members in enumerate(cliques):
             best_pos = 0
             best = load[members[0]]
@@ -145,7 +152,7 @@ def run_iterations_eager(ws, rounds: int):
                 if li < best:
                     best = li
                     best_pos = i
-            share[cid * h + best_pos] += gamma
+            share[cid * h + best_pos] += exact_gamma
             load[members[best_pos]] = best + gamma
     ws.rounds_done += rounds
     return ws

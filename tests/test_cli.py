@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from lhcds import RunStats
 from lhcds.cli import main
 from helpers import clique_edges
 
@@ -125,3 +127,9 @@ def test_stats_on_stderr(k5_file, capsys):
     assert payload["verify_early_reject"] == payload["verify_flow"] == 0
     assert payload["flow_calls"] == 0
     assert "wall_seconds" in payload
+    # every counter the run keeps, with no hand-kept list of keys
+    fields = {f.name for f in dataclasses.fields(RunStats)}
+    assert fields <= payload.keys()
+    assert payload.keys() - fields == {"n", "m", "flow_calls", "wall_seconds"}
+    assert payload["max_iterations_used"] == 20
+    assert payload["verify_disagreements"] == 0

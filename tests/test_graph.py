@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from lhcds import (Graph, connected_components, degeneracy_order,
                    induced_subgraph, parse_edge_list)
-from helpers import (degeneracy_order_heap, gnp, k_n, path_n, planted, star,
-                     triangle, two_k4_bridge_edge)
+from helpers import (clique_edges, degeneracy_order_heap, gnp, k_n, path_n,
+                     planted, star, triangle, two_k4_bridge_edge)
 import random
 
 
@@ -65,6 +65,23 @@ def test_induced_extracts_bridged_k4():
 def test_induced_out_of_range():
     with pytest.raises(ValueError):
         induced_subgraph(triangle(), (0, 9))
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([], "0 labels for n=4"),
+    ([10], "1 labels for n=4"),
+    ([10, 11, 10, 12], "repeat"),
+])
+def test_labels_must_name_each_vertex_once(labels, message):
+    # a short list would make ippv fail on a missing label, and a repeated
+    # id would make two output sets indistinguishable
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(4, clique_edges(range(4)), labels=labels)
+
+
+def test_labels_need_not_be_sorted():
+    g = Graph.from_edges(4, clique_edges(range(4)), labels=[13, 11, 12, 10])
+    assert g.labels == (13, 11, 12, 10)
 
 
 def test_components():

@@ -3,8 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lhcds.weights as weights_mod
-
 from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
                    enumerate_patterns, init_weights, objective,
                    oracle_compact_numbers, run_iterations,
@@ -97,8 +95,9 @@ def _instances(g, kind):
 
 
 def _assert_same_bits(ws, ref):
-    assert ws.share == ref.share
+    # loads bit for bit; shares as the correctly rounded exact shares
     assert ws.load == ref.load
+    assert ws.share == [float(x) for x in ref.share]
     assert ws.rounds_done == ref.rounds_done
 
 
@@ -107,8 +106,9 @@ def _assert_same_bits(ws, ref):
        st.sampled_from([2, 3, 4, 5, *PATTERN_NAMES]), st.integers(0, 40),
        st.integers(0, 40))
 def test_run_iterations_matches_eager_bit_for_bit(seed, n, kind, rounds, first):
-    # no approx anywhere: the flat update must do the eager update's float
-    # operations in its order, whether the rounds come in one call or two
+    # no approx anywhere: the loads must take the eager update's float
+    # operations in its order, and the shares must be the exact ones,
+    # whether the rounds come in one call or two
     first = min(first, rounds)
     cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
     ref = run_iterations_eager(init_weights(cs), rounds)
@@ -120,36 +120,12 @@ def test_run_iterations_matches_eager_bit_for_bit(seed, n, kind, rounds, first):
 @pytest.mark.parametrize("h", [3, 4])
 def test_run_iterations_matches_eager_on_planted_graph(h):
     # thousands of cliques in overlapping blocks, where load ties between
-    # members are common
+    # members are common; at the default 20 rounds and at 150
     g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     cs = enumerate_cliques(g, h)
-    _assert_same_bits(run_iterations(init_weights(cs), 20),
-                      run_iterations_eager(init_weights(cs), 20))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(3, 12),
-       st.sampled_from([2, 3, 4, *PATTERN_NAMES]), st.integers(1, 30),
-       st.integers(0, 30))
-def test_run_iterations_matches_eager_after_decomposition(seed, n, kind,
-                                                          first, then):
-    # the decomposition zeroes shares and spreads their weight, so a call
-    # that follows it starts from shares that are not all 1/h
-    cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
-    ws = run_iterations(init_weights(cs), first)
-    tentative_decomposition(cs, ws)
-    ref = run_iterations_eager(ws.copy(), then)
-    _assert_same_bits(run_iterations(ws, then), ref)
-
-
-def test_run_iterations_matches_eager_after_decomposition_on_planted_graph():
-    g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
-    cs = enumerate_cliques(g, 3)
-    ws = run_iterations(init_weights(cs), 20)
-    tentative_decomposition(cs, ws)
-    assert 0.0 in ws.share and len(set(ws.share)) > 100
-    ref = run_iterations_eager(ws.copy(), 20)
-    _assert_same_bits(run_iterations(ws, 20), ref)
+    for rounds in (20, 150):
+        _assert_same_bits(run_iterations(init_weights(cs), rounds),
+                          run_iterations_eager(init_weights(cs), rounds))
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +133,8 @@ def test_run_iterations_matches_eager_after_decomposition_on_planted_graph():
        st.sampled_from([2, 3, 4, *PATTERN_NAMES]),
        st.lists(st.integers(0, 90), min_size=1, max_size=4))
 def test_run_iterations_matches_eager_over_split_calls(seed, n, kind, calls):
-    # each call replays its own rounds from the shares the last one wrote
+    # the pick counts are cumulative, so split calls write the shares of
+    # one call
     cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
     ref = run_iterations_eager(init_weights(cs), sum(calls))
     ws = init_weights(cs)
@@ -167,9 +144,8 @@ def test_run_iterations_matches_eager_over_split_calls(seed, n, kind, calls):
 
 
 def test_run_iterations_matches_eager_over_long_calls():
-    # 150 rounds in one call: several replays, the last one short, each
-    # starting from the shares the one before wrote; on a K4 (a few classes)
-    # and on planted blocks (many classes)
+    # 150 rounds in one call, where most shares are far from 1/h: on a K4,
+    # on planted triangles and on planted diamonds
     g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
     for cs in (enumerate_cliques(k_n(4), 3), enumerate_cliques(g, 3),
                enumerate_patterns(g, "diamond")):
@@ -177,37 +153,39 @@ def test_run_iterations_matches_eager_over_long_calls():
                           run_iterations_eager(init_weights(cs), 150))
 
 
-def test_long_call_replays_at_most_20_rounds_at_once(monkeypatch):
-    # the recorded picks and class keys grow with the rounds one replay
-    # covers, so a long call is replayed in pieces to bound its memory
-    seen = []
-    replay = weights_mod._replay
-
-    def spy(share, h, picks, first, stop):
-        seen.append((first, stop))
-        return replay(share, h, picks, first, stop)
-
-    monkeypatch.setattr(weights_mod, "_replay", spy)
-    ws = run_iterations(init_weights(enumerate_cliques(k_n(5), 3)), 45)
-    assert seen == [(1, 21), (21, 41), (41, 46)]
-    run_iterations(ws, 0)
-    assert len(seen) == 3
-
-
-@pytest.mark.parametrize("replay_rounds", [1, 7, 1000])
-def test_replay_length_changes_no_bit(monkeypatch, replay_rounds):
-    # how many rounds go into one replay trades memory for time only
-    monkeypatch.setattr(weights_mod, "_REPLAY_ROUNDS", replay_rounds)
-    g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
+def test_decomposed_state_cannot_resume():
+    # the decomposition moves weight between shares, which the pick counts
+    # then no longer describe: resuming would overwrite the move
+    g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     cs = enumerate_cliques(g, 3)
-    ref = run_iterations_eager(init_weights(cs), 45)
-    ws = run_iterations(run_iterations(init_weights(cs), 13), 32)
-    _assert_same_bits(ws, ref)
+    ws = run_iterations(init_weights(cs), 20)
+    tentative_decomposition(cs, ws)
+    assert 0.0 in ws.share
+    share, load = ws.share[:], ws.load[:]
+    for rounds in (0, 1):
+        with pytest.raises(ValueError, match="decomposition"):
+            run_iterations(ws, rounds)
+    assert ws.share == share and ws.load == load and ws.rounds_done == 20
+
+
+def test_negative_rounds_rejected():
+    ws = init_weights(enumerate_cliques(k_n(4), 3))
+    with pytest.raises(ValueError, match="rounds"):
+        run_iterations(ws, -3)
+    assert ws.rounds_done == 0
+    _assert_same_bits(run_iterations(ws, 2), run_iterations_eager(
+        init_weights(enumerate_cliques(k_n(4), 3)), 2))
 
 
 def test_copy_is_independent():
-    ws = run_iterations(init_weights(enumerate_cliques(k_n(5), 3)), 3)
+    cs = enumerate_cliques(k_n(5), 3)
+    ws = run_iterations(init_weights(cs), 3)
     twin = ws.copy()
+    picks = ws.picks[:]
     run_iterations(ws, 2)
-    _assert_same_bits(twin, run_iterations_eager(
-        init_weights(enumerate_cliques(k_n(5), 3)), 3))
+    assert twin.picks == picks != ws.picks
+    _assert_same_bits(twin, run_iterations_eager(init_weights(cs), 3))
+    # the twin's own counts resume it to where ws went
+    _assert_same_bits(run_iterations(twin, 2), run_iterations_eager(
+        init_weights(cs), 5))
+    assert init_weights(cs).copy().picks == [0] * len(ws.share)
