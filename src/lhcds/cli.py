@@ -80,7 +80,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     stats = RunStats()
+    cfg = PipelineConfig(h=args.h, k=args.k, iterations=args.iterations,
+                         verify_mode=args.verify)
     try:
+        cfg.validate()
         if args.oracle:
             if args.pattern is not None:
                 print("lhcds: --oracle supports clique mode only", file=sys.stderr)
@@ -92,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
                                     density=d)
                        for i, (vs, d) in enumerate(found[:args.k])]
         else:
-            cfg = PipelineConfig(h=args.h, k=args.k, iterations=args.iterations,
-                                 verify_mode=args.verify)
             if args.pattern is not None:
                 records = ippv_pattern(g, args.pattern, cfg, stats=stats)
             else:

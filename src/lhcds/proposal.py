@@ -13,8 +13,11 @@ groups bound every member's compact number by the group's load range.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, compress, count
+from operator import itemgetter, ne
+from typing import Iterable
 
 from .cliques import Bounds, CliqueSet
 from .graph import VertexSet
@@ -33,10 +36,13 @@ def _pad(x: float) -> float:
 @dataclass
 class Partition:
     """Disjoint vertex blocks covering the working graph, by descending load
-    at sort time. ``order`` is the full sorted vertex sequence."""
+    at sort time. ``order`` is the full sorted vertex sequence. ``spanning``
+    lists, in ascending order, the ids of the cliques whose members lie in
+    two or more blocks; every other clique lies wholly inside one block."""
 
     groups: list[VertexSet]
     order: list[int]
+    spanning: list[int]
 
 
 def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
@@ -49,22 +55,32 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     touched block is zeroed (exact zeros) and redistributed equally among its
     members inside that block; ws's shares and loads are updated in place,
     and ``run_iterations`` refuses ws from then on.
+
+    Blocks are contiguous runs of the load order, so a clique spans blocks
+    iff its first and last members in that order lie in different blocks,
+    and the block of its last member is the last block it touches. Both
+    positions come from ``min``/``max`` mapped over lazy per-position
+    columns of sort positions, so only the spanning cliques are visited one
+    by one.
     """
     n = len(cs.degree)
-    order = sorted(range(n), key=lambda v: (-ws.load[v], v))
+    cliques = cs.cliques
+    h = cs.h
+    # descending load, ties by ascending id: a reverse sort keeps equal keys
+    # in input order
+    order = sorted(range(n), key=ws.load.__getitem__, reverse=True)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
 
-    # each clique's last member by sort position: the clique is counted into
-    # the prefix where that member enters, O(n + |cliques|) total
-    last = [max(map(pos.__getitem__, members)) for members in cs.cliques]
-    by_last = [0] * (n + 1)
-    for p in last:
-        by_last[p + 1] += 1
-    prefix_count = [0] * (n + 1)
-    for q in range(1, n + 1):
-        prefix_count[q] = prefix_count[q - 1] + by_last[q]
+    def columns():
+        return [map(pos.__getitem__, map(itemgetter(i), cliques))
+                for i in range(h)]
+
+    # each clique is counted into the prefix where its last member enters
+    last = list(map(max, *columns()))
+    by_last = Counter(last)
+    prefix_count = [0, *accumulate(map(by_last.__getitem__, range(n)))]
 
     # right-to-left strict density records: d[q] > d[q'] for every q' > q
     cuts: list[int] = []
@@ -76,28 +92,26 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     cuts.reverse()
 
     groups: list[VertexSet] = []
-    group_of = [0] * n
+    block_at = [0] * n  # block index of each sort position
     start = 0
     for gi, cut in enumerate(cuts):
-        block = tuple(sorted(order[start:cut]))
-        groups.append(block)
-        for v in order[start:cut]:
-            group_of[v] = gi
+        groups.append(tuple(sorted(order[start:cut])))
+        block_at[start:cut] = [gi] * (cut - start)
         start = cut
 
-    # blocks are contiguous runs of order, so the block holding a clique's
-    # last member is the last block the clique touches
+    block = block_at.__getitem__
+    spanning = list(compress(count(), map(
+        ne, map(block, map(min, *columns())), map(block, last))))
     share = ws.share
-    h = cs.h
-    for cid, members in enumerate(cs.cliques):
-        last_group = group_of[order[last[cid]]]
-        inside = [i for i, v in enumerate(members) if group_of[v] == last_group]
-        if len(inside) == len(members):
-            continue
+    for cid in spanning:
+        last_block = block_at[last[cid]]
         base = cid * h
+        inside = []
         moved = 0.0
-        for i, v in enumerate(members):
-            if group_of[v] != last_group:
+        for i, v in enumerate(cliques[cid]):
+            if block_at[pos[v]] == last_block:
+                inside.append(i)
+            else:
                 moved += share[base + i]
                 share[base + i] = 0.0
         add = moved / len(inside)
@@ -106,39 +120,44 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
 
     # summed in clique-id, then position order, like the iteration's shares
     load = [0.0] * n
-    for v, x in zip(chain.from_iterable(cs.cliques), share):
+    for v, x in zip(chain.from_iterable(cliques), share):
         load[v] += x
     ws.load = load
     ws.picks = None
-    return Partition(groups=groups, order=order)
+    return Partition(groups=groups, order=order, spanning=spanning)
 
 
 def _share_conditions_ok(members: set[int], lo: float, hi: float,
                          ws: WeightState, cs: CliqueSet) -> bool:
     """Def conditions (2)/(3): no weight crosses the candidate's boundary."""
+    incident = set(chain.from_iterable(map(cs.incidence.__getitem__, members)))
+    return _no_weight_crosses(incident, members, lo, hi, ws, cs)
+
+
+def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: float,
+                       hi: float, ws: WeightState, cs: CliqueSet) -> bool:
+    """Conditions (2)/(3) over the cliques ``cids`` only: a clique joining
+    the members to a vertex above ``hi`` carries share 0 on that vertex, and
+    one joining them to a vertex below ``lo`` carries share 0 on every
+    member."""
     load = ws.load
     share = ws.share
     h = cs.h
-    checked: set[int] = set()
-    for v in members:
-        for cid in cs.incidence[v]:
-            if cid in checked:
+    for cid in cids:
+        clique = cs.cliques[cid]
+        base = cid * h
+        low_checked = False
+        for i, w in enumerate(clique):
+            if w in members:
                 continue
-            checked.add(cid)
-            clique = cs.cliques[cid]
-            base = cid * h
-            low_checked = False
-            for i, w in enumerate(clique):
-                if w in members:
-                    continue
-                if load[w] > hi:
-                    if share[base + i] != 0.0:
+            if load[w] > hi:
+                if share[base + i] != 0.0:
+                    return False
+            elif not low_checked:  # load[w] < lo by condition (1)
+                for j, u in enumerate(clique):
+                    if u in members and share[base + j] != 0.0:
                         return False
-                elif not low_checked:  # load[w] < lo by condition (1)
-                    for j, u in enumerate(clique):
-                        if u in members and share[base + j] != 0.0:
-                            return False
-                    low_checked = True
+                low_checked = True
     return True
 
 
@@ -150,23 +169,35 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     maximum load and lower[u] grows to its minimum load (both carry the
     drift allowance). Tightening never widens an interval. Groups are
     returned in the partition's descending-load order.
+
+    The share conditions scan only the partition's spanning cliques that
+    touch the group. That is exact: every group is a union of whole blocks,
+    and any other clique the group touches lies inside one block, hence
+    wholly inside the group, and has no outside member that could carry or
+    receive weight across its boundary.
     """
     out = bounds.copy()
     load = ws.load
     all_loads = sorted(load[v] for v in partition.order)
+    crossing: dict[int, list[int]] = {}  # vertex -> its spanning cliques
+    for cid in partition.spanning:
+        for v in cs.cliques[cid]:
+            crossing.setdefault(v, []).append(cid)
 
-    def stable(member_set: set[int], lo: float, hi: float) -> bool:
+    def stable(member_set: set[int], touched: set[int], lo: float,
+               hi: float) -> bool:
         # separation first: vertices with load in [lo, hi] must be exactly
         # the members (bisect on the global sorted loads, then the weight
         # crossing scan only when that passes)
         in_range = bisect_right(all_loads, hi) - bisect_left(all_loads, lo)
         if in_range != len(member_set):
             return False
-        return _share_conditions_ok(member_set, lo, hi, ws, cs)
+        return _no_weight_crosses(touched, member_set, lo, hi, ws, cs)
 
-    sets: list[tuple[list[int], float, float]] = []
+    sets: list[tuple[list[int], set[int], float, float]] = []
     acc: list[int] = []
     acc_set: set[int] = set()
+    touched: set[int] = set()  # spanning cliques with a member in acc
     lo = hi = 0.0
     for block in partition.groups:
         for v in block:
@@ -178,25 +209,28 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
                 hi = max(hi, lv)
             acc.append(v)
             acc_set.add(v)
-        if stable(acc_set, lo, hi):
-            sets.append((acc, lo, hi))
-            acc, acc_set = [], set()
+            if v in crossing:
+                touched.update(crossing[v])
+        if stable(acc_set, touched, lo, hi):
+            sets.append((acc, touched, lo, hi))
+            acc, acc_set, touched = [], set(), set()
     # Weight reassignment can lift a trailing vertex's load above an earlier
     # group's range, leaving the tail unstable with nothing ahead to merge.
     # Merge backward instead; the whole working set is vacuously stable, so
     # this terminates.
     while acc:
-        if stable(acc_set, lo, hi):
-            sets.append((acc, lo, hi))
+        if stable(acc_set, touched, lo, hi):
+            sets.append((acc, touched, lo, hi))
             break
-        prev, plo, phi = sets.pop()
+        prev, ptouched, plo, phi = sets.pop()
         acc = prev + acc
         acc_set.update(prev)
+        touched |= ptouched
         lo = min(lo, plo)
         hi = max(hi, phi)
 
     groups: list[VertexSet] = []
-    for members, lo, hi in sets:
+    for members, _, lo, hi in sets:
         candidate = tuple(sorted(members))
         upper_val = hi + _pad(hi)
         lower_val = lo - _pad(lo)

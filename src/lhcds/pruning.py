@@ -1,7 +1,8 @@
 """Removal of vertices that provably belong to no locally densest subgraph.
 
 Two rules, on an alive mask over the working graph: a vertex v falls when an
-edge (u, v) has lower[u] strictly above upper[v], and, after recomputing
+edge (u, v) has lower[u] strictly above upper[v] (checked once per vertex,
+against its neighbours' largest lower bound), and, after recomputing
 clique cores over the cliques whose members are all alive, when a vertex's
 core drops below its own lower bound (repeated to a fixed point; removing a
 vertex can only lower cores, so the fixed point is the largest vertex set on
@@ -35,12 +36,13 @@ def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
     """
     upper, lower = bounds.upper, bounds.lower
     alive = bytearray(b"\1") * g.n
-    for v in range(g.n):
-        uv = upper[v]
-        for u in g.adj[v]:
-            if definitely_less(uv, lower[u]):
-                alive[v] = 0
-                break
+    # one compare against the largest neighbouring lower bound decides the
+    # edge rule: nextafter(b, -inf) is monotone in b, so some edge fires iff
+    # the one with the largest lower[u] does
+    lower_at = lower.__getitem__
+    for v, nbrs in enumerate(g.adj):
+        if nbrs and definitely_less(upper[v], max(map(lower_at, nbrs))):
+            alive[v] = 0
 
     # cascade: recompute cores among survivors until no vertex sits below
     # its own lower bound

@@ -9,9 +9,11 @@ from two threads at once.
 
 Shares live in one flat list, clique ``cid``'s at offsets ``cid*h`` to
 ``cid*h + h - 1``. Only the loads steer the iteration, so only they are
-rescaled every round; each step counts a pick for the position it tops up,
-and the shares are written once per call from those counts. Round t maps a
-share x to ``x * t/(t+1)``, plus ``1/(t+1)`` when picked, so
+rescaled every round. Each step counts a pick for the position it tops up,
+in h count lists indexed by clique id (``picks[i][cid]`` for position i), so
+a step indexes by the clique id it already holds and computes no flat
+offset. The shares are written once per call from those counts. Round t
+maps a share x to ``x * t/(t+1)``, plus ``1/(t+1)`` when picked, so
 ``(t+1) * x_t = t * x_(t-1) + [picked]`` telescopes from ``x_0 = 1/h`` to
 
     x_T = (1 + h*c) / (h*(T+1)),  c = rounds that picked the position,
@@ -27,7 +29,7 @@ with it the stable groups and the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain
 
 from .cliques import CliqueSet
 
@@ -37,10 +39,10 @@ class WeightState:
     """Weight shares per (clique, position) and per-vertex totals.
 
     ``share[cid*h + i]`` is the share of ``cs.cliques[cid][i]``: one flat
-    list, clique after clique in id order, and ``picks`` at the same offset
-    counts the rounds that topped it up. ``picks`` is None once
-    ``tentative_decomposition`` has reassigned the shares, as the counts no
-    longer describe them.
+    list, clique after clique in id order. ``picks[i][cid]`` counts the
+    rounds that topped that share up: one list per position, indexed by
+    clique id. ``picks`` is None once ``tentative_decomposition`` has
+    reassigned the shares, as the counts no longer describe them.
 
     Invariants (up to float drift, checked in tests at 1e-9):
     each clique's shares sum to 1; ``load[u]`` equals the sum of u's shares;
@@ -52,21 +54,23 @@ class WeightState:
     cs: CliqueSet
     share: list[float]
     load: list[float]
-    picks: list[int] | None
+    picks: list[list[int]] | None
     rounds_done: int = 0
 
     def copy(self) -> "WeightState":
+        picks = None if self.picks is None else [p[:] for p in self.picks]
         return WeightState(cs=self.cs, share=self.share[:], load=self.load[:],
-                           picks=None if self.picks is None else self.picks[:],
-                           rounds_done=self.rounds_done)
+                           picks=picks, rounds_done=self.rounds_done)
 
 
 def init_weights(cs: CliqueSet) -> WeightState:
     """Uniform start: every share is 1/h, so load(u) = degree(u)/h."""
     h = cs.h
-    share = [1.0 / h] * (h * len(cs.cliques))
+    m = len(cs.cliques)
+    share = [1.0 / h] * (h * m)
     load = [d / h for d in cs.degree]
-    return WeightState(cs=cs, share=share, load=load, picks=[0] * len(share))
+    return WeightState(cs=cs, share=share, load=load,
+                       picks=[[0] * m for _ in range(h)])
 
 
 def run_iterations(ws: WeightState, rounds: int) -> WeightState:
@@ -96,25 +100,26 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
         keep = 1.0 - gamma
         load = [x * keep for x in load]
         if h == 3:
-            for at, (a, b, c) in zip(count(0, 3), cliques):
+            p0, p1, p2 = picks
+            for cid, (a, b, c) in enumerate(cliques):
                 la = load[a]
                 lb = load[b]
                 lc = load[c]
                 if lb < la:
                     if lc < lb:
                         load[c] = lc + gamma
-                        picks[at + 2] += 1
+                        p2[cid] += 1
                     else:
                         load[b] = lb + gamma
-                        picks[at + 1] += 1
+                        p1[cid] += 1
                 elif lc < la:
                     load[c] = lc + gamma
-                    picks[at + 2] += 1
+                    p2[cid] += 1
                 else:
                     load[a] = la + gamma
-                    picks[at] += 1
+                    p0[cid] += 1
         else:
-            for at, members in zip(count(0, h), cliques):
+            for cid, members in enumerate(cliques):
                 best_pos = 0
                 best = load[members[0]]
                 for i in range(1, h):
@@ -123,11 +128,12 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                         best = li
                         best_pos = i
                 load[members[best_pos]] = best + gamma
-                picks[at + best_pos] += 1
+                picks[best_pos][cid] += 1
     # one float object per distinct count, shared by every equal share
     den = h * (last + 1)
     value = [(1 + h * c) / den for c in range(last + 1)]
-    ws.share = list(map(value.__getitem__, picks))
+    ws.share = list(map(value.__getitem__,
+                        chain.from_iterable(zip(*picks))))
     ws.load = load
     ws.rounds_done = last
     return ws

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
                    parse_edge_list, restrict_cliques)
-from lhcds.proposal import _share_conditions_ok
+from lhcds.proposal import _pad, _share_conditions_ok
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -241,6 +241,35 @@ def is_stable_group(candidate, partition, ws, cs) -> bool:
         if lo <= load[v] <= hi:
             return False
     return _share_conditions_ok(members, lo, hi, ws, cs)
+
+
+def stable_groups_reference(partition, ws, cs, bounds):
+    """``derive_stable_groups`` with every stability check made by
+    ``is_stable_group``: the separation by a scan of the load order, the
+    share conditions over every clique incident to the candidate. Returns
+    the groups and the tightened bounds."""
+    sets: list[list[int]] = []
+    acc: list[int] = []
+    for block in partition.groups:
+        acc += block
+        if is_stable_group(acc, partition, ws, cs):
+            sets.append(acc)
+            acc = []
+    while acc:
+        if is_stable_group(acc, partition, ws, cs):
+            sets.append(acc)
+            break
+        acc = sets.pop() + acc
+    out = bounds.copy()
+    groups = []
+    for members in sets:
+        lo = min(ws.load[v] for v in members)
+        hi = max(ws.load[v] for v in members)
+        for v in members:
+            out.upper[v] = min(out.upper[v], hi + _pad(hi))
+            out.lower[v] = max(out.lower[v], lo - _pad(lo))
+        groups.append(tuple(sorted(members)))
+    return groups, out
 
 
 def suite_graphs(seed: int = 20260810, count: int = 200):

@@ -85,6 +85,19 @@ def test_oracle_size_cap(tmp_path, capsys):
     assert main(["--input", str(p), "--oracle"]) == 2
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+@pytest.mark.parametrize("flag, message", [("--k", "k must be >= 1"),
+                                           ("--iterations",
+                                            "iterations must be >= 1")])
+def test_zero_k_or_iterations_rejected(k5_file, capsys, oracle, flag,
+                                       message):
+    # the oracle path takes the same config checks as the pipeline
+    assert main(["--input", str(k5_file), flag, "0", *oracle]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_pattern_mode(tmp_path, capsys):
     p = tmp_path / "k4.txt"
     _write_edges(p, clique_edges(range(4)))

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
-from lhcds import (Graph, enumerate_cliques, init_weights, initialize_bounds,
-                   clique_core_numbers, derive_stable_groups,
-                   run_iterations, tentative_decomposition)
-from helpers import (clique_edges, gnp, is_stable_group, k_n, share_rows,
-                     triangle, two_k4_bridge_vertex)
+import pytest
+
+from lhcds import (Graph, enumerate_cliques, enumerate_patterns, init_weights,
+                   initialize_bounds, clique_core_numbers,
+                   derive_stable_groups, run_iterations,
+                   tentative_decomposition)
+from helpers import (clique_edges, gnp, is_stable_group, k_n, planted,
+                     share_rows, stable_groups_reference, triangle,
+                     two_k4_bridge_vertex)
 
 
 def _propose(g, h, rounds):
@@ -100,7 +104,9 @@ def test_outward_share_blocks_stability():
 def _single_blocks_partition(g, ws):
     from lhcds.proposal import Partition
     order = sorted(range(g.n), key=lambda v: (-ws.load[v], v))
-    return Partition(groups=[(v,) for v in order], order=order)
+    # with one vertex per block, every clique spans blocks
+    return Partition(groups=[(v,) for v in order], order=order,
+                     spanning=list(range(len(ws.cs.cliques))))
 
 
 def test_derived_groups_disjoint_and_stable():
@@ -122,3 +128,51 @@ def test_derived_groups_disjoint_and_stable():
             assert tightened.upper[v] <= bounds.upper[v]
             assert tightened.lower[v] >= bounds.lower[v]
             assert tightened.lower[v] <= tightened.upper[v] + 1e-12
+
+
+def _seeded_clique_sets(mode):
+    """Clique sets of seeded gnp and planted graphs, at h=3, at h=4 or in
+    diamond mode, each with a few weight rounds and with 20."""
+    rng = random.Random(41)
+    graphs = [gnp(rng, rng.randint(6, 14), rng.choice([0.4, 0.6, 0.8]))
+              for _ in range(10)]
+    graphs += [planted(seed, n=200, m=700, blocks=8, size_lo=5, size_hi=10,
+                       p=0.8) for seed in range(1, 7)]
+    for g in graphs:
+        if mode == "diamond":
+            cs = enumerate_patterns(g, "diamond")
+        else:
+            cs = enumerate_cliques(g, int(mode[1]))
+        for rounds in (3, 20):
+            yield cs, run_iterations(init_weights(cs), rounds)
+
+
+@pytest.mark.parametrize("mode", ["h3", "h4", "diamond"])
+def test_spanning_lists_cliques_across_blocks(mode):
+    spanned = 0
+    for cs, ws in _seeded_clique_sets(mode):
+        partition = tentative_decomposition(cs, ws)
+        block_of = {v: b for b, grp in enumerate(partition.groups)
+                    for v in grp}
+        want = [cid for cid, members in enumerate(cs.cliques)
+                if len({block_of[v] for v in members}) >= 2]
+        assert partition.spanning == want
+        spanned += len(want)
+    assert spanned > 0
+
+
+@pytest.mark.parametrize("mode", ["h3", "h4", "diamond"])
+def test_stable_groups_match_full_incidence_scan(mode):
+    # scanning only the spanning cliques that touch a group gives the same
+    # groups, and bit for bit the same bounds, as scanning every clique
+    # incident to it
+    for cs, ws in _seeded_clique_sets(mode):
+        partition = tentative_decomposition(cs, ws)
+        bounds = initialize_bounds(clique_core_numbers(cs), cs.h)
+        groups, got = derive_stable_groups(partition, ws, cs, bounds)
+        want_groups, want = stable_groups_reference(partition, ws, cs, bounds)
+        assert groups == want_groups
+        assert list(map(float.hex, got.upper)) == \
+            list(map(float.hex, want.upper))
+        assert list(map(float.hex, got.lower)) == \
+            list(map(float.hex, want.lower))

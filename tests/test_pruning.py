@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
 
-from lhcds import (Bounds, Graph, clique_core_numbers, derive_stable_groups,
-                   enumerate_cliques, induced_subgraph, init_weights,
-                   initialize_bounds, prune, run_iterations,
+from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
+                   derive_stable_groups, enumerate_cliques, induced_subgraph,
+                   init_weights, initialize_bounds, prune, run_iterations,
                    tentative_decomposition)
-from helpers import clique_edges, exact_bounds, k_n, planted, prune_rebuild
+from helpers import (clique_edges, exact_bounds, gnp, k_n, planted,
+                     prune_rebuild)
 
 
 def _bounds(n, upper, lower):
@@ -63,6 +65,34 @@ def test_uniform_graph_untouched():
     b = _bounds(5, upper=[6] * 5, lower=[2] * 5)
     kept, surviving = prune(g, [tuple(range(5))], b, cs)
     assert surviving == tuple(range(5))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_edge_rule_matches_per_edge_compares_at_ulp_ties(seed):
+    # every bound lies within two ulps of one shared value, so across many
+    # edges the rule's one-ulp margin decides; comparing each vertex once
+    # with its neighbours' largest lower bound drops what one compare per
+    # edge drops
+    rng = random.Random(seed)
+    g = gnp(rng, 40, 0.15)
+    x = rng.choice([0.1, 1 / 3, 1.0, 2.0])
+
+    def near():
+        y = x
+        for _ in range(rng.randint(0, 2)):
+            y = math.nextafter(y, rng.choice([-math.inf, math.inf]))
+        return y
+
+    b = Bounds(upper=[near() for _ in range(g.n)],
+               lower=[near() for _ in range(g.n)])
+    per_edge = {v for v in range(g.n)
+                if any(definitely_less(b.upper[v], b.lower[u])
+                       for u in g.adj[v])}
+    assert 0 < len(per_edge) < g.n
+    cs = enumerate_cliques(g, 2)
+    kept, surviving = prune(g, [tuple(range(g.n))], b, cs)
+    assert per_edge.isdisjoint(surviving)
+    assert (kept, surviving) == prune_rebuild(g, [tuple(range(g.n))], b, cs)
 
 
 def test_idempotent():

@@ -181,11 +181,13 @@ def test_copy_is_independent():
     cs = enumerate_cliques(k_n(5), 3)
     ws = run_iterations(init_weights(cs), 3)
     twin = ws.copy()
-    picks = ws.picks[:]
+    # one count list per position: a snapshot copies each of them, as a
+    # shallow picks[:] would share them with ws
+    picks = [p[:] for p in ws.picks]
     run_iterations(ws, 2)
     assert twin.picks == picks != ws.picks
     _assert_same_bits(twin, run_iterations_eager(init_weights(cs), 3))
     # the twin's own counts resume it to where ws went
     _assert_same_bits(run_iterations(twin, 2), run_iterations_eager(
         init_weights(cs), 5))
-    assert init_weights(cs).copy().picks == [0] * len(ws.share)
+    assert init_weights(cs).copy().picks == [[0] * len(cs.cliques)] * 3
