@@ -2,29 +2,36 @@
 
 The clique list is materialized with stable lexicographic ids because the
 weight-distribution state and the verification flow networks both index into
-it. Enumeration walks the degeneracy-ordered DAG: each edge points from the
-endpoint peeled earlier to the one peeled later, and ``degeneracy_order``
-peels from per-degree heaps of vertex ids. Triangles come from one flat loop
-over each vertex's successor pairs (Chiba and Nishizeki, 1985); other sizes
-from recursive intersection of successor lists (kClist, Danisch et al.,
-2018), where at h = 2 each edge comes from its earlier-peeled endpoint.
-Each clique is listed once, as its rank-ordered chain.
+it. Enumeration orients each edge from its smaller id to its larger one:
+``fwd[v]`` is the part of v's sorted neighbour list above v. Triangles come
+from one flat loop over the oriented edges (v, w), each closing with the
+vertices in both ``fwd[v]`` and ``fwd[w]`` (Chiba and Nishizeki, 1985); other
+sizes from recursive intersection of forward sets (kClist, Danisch et al.,
+2018), where at h = 2 each edge comes from its smaller endpoint. Each clique
+is listed once, as its increasing chain of ids.
 
-The smallest-id tie-break of the peeling order matters for speed, not
-output: it lists a dense block's cliques in nearly lexicographic order, so
-the sort in ``_index_cliques`` runs in near-linear time.
+Every intersection is set against set, and Python's ``&`` iterates the
+smaller operand, so listing triangles costs the sum over edges (u, w) of
+min(|fwd u|, |fwd w|). That is at most the sum of min(deg u, deg w), which
+is at most 2 * arboricity * m (Chiba and Nishizeki), whatever the ids are.
+Filtering a candidate list by membership instead would walk the whole list:
+a hub with id 0 would cost its degree per incident edge.
+
+The chain is increasing, the outer loops run over ascending ids, and every
+candidate set is read in sorted order, so cliques come out internally sorted
+and in lexicographic order; ``_index_cliques`` takes them as they are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import inf, nextafter
 from typing import Iterable, Sequence
 
-from .graph import Graph, degeneracy_order
+from .graph import Graph
 
 
 @dataclass
@@ -72,7 +79,7 @@ class CliqueSet:
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:
-    cliques.sort()
+    """Index an already sorted clique list; every producer emits it sorted."""
     degree = [0] * n
     incidence: list[list[int]] = [[] for _ in range(n)]
     for cid, clique in enumerate(cliques):
@@ -86,36 +93,32 @@ def enumerate_cliques(g: Graph, h: int) -> CliqueSet:
     """Enumerate every h-clique of g exactly once (h=2 yields the edge set)."""
     if h < 2:
         raise ValueError(f"clique size must be >= 2, got {h}")
-    adj = g.adj
     out: list[tuple[int, ...]] = []
-    rank = [0] * g.n
-    for i, v in enumerate(degeneracy_order(g)):
-        rank[v] = i
-    succ = [[w for w in adj[v] if rank[w] > rv]
-            for v, rv in enumerate(rank)]
-    succ_sets = [set(s) for s in succ]
+    fwd = [a[bisect_right(a, v):] for v, a in enumerate(g.adj)]
+    fset = list(map(set, fwd))
     if h == 3:
-        for v, sv in enumerate(succ):
-            for w in sv:
-                sw = succ_sets[w]
-                for x in sv:
-                    if x in sw:
-                        out.append(tuple(sorted((v, w, x))))
+        for v, fv in enumerate(fwd):
+            sv = fset[v]
+            for w in fv:
+                common = sv & fset[w]
+                if common:
+                    out += [(v, w, x) for x in sorted(common)]
         return _index_cliques(3, out, g.n)
 
-    def extend(prefix: list[int], cand: Sequence[int]) -> None:
+    def extend(prefix: tuple[int, ...], cand: Sequence[int],
+               cset: set[int]) -> None:
         if len(prefix) == h - 1:
-            for v in cand:
-                out.append(tuple(sorted(prefix + [v])))
+            out.extend([prefix + (v,) for v in cand])
             return
+        need = h - len(prefix) - 1
         for v in cand:
-            nxt = [w for w in cand if w in succ_sets[v]]
-            if len(prefix) + 1 + len(nxt) >= h:
-                extend(prefix + [v], nxt)
+            nset = cset & fset[v]
+            if len(nset) >= need:
+                extend(prefix + (v,), sorted(nset), nset)
 
-    for v, sv in enumerate(succ):
-        if len(sv) >= h - 1:
-            extend([v], sv)
+    for v, fv in enumerate(fwd):
+        if len(fv) >= h - 1:
+            extend((v,), fv, fset[v])
     return _index_cliques(h, out, g.n)
 
 
@@ -124,10 +127,14 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
 
     Relabeling follows the sorted member order, so lexicographic clique order
     (and hence ids) stays deterministic. When ``members`` covers every vertex
-    the relabeling is the identity and ``cs`` itself is returned.
+    the relabeling is the identity and ``cs`` itself is returned. Raises
+    ValueError for an id outside 0..n-1.
     """
     mlist = sorted(set(members))
-    if len(mlist) == len(cs.degree):
+    n = len(cs.degree)
+    if mlist and (mlist[0] < 0 or mlist[-1] >= n):
+        raise ValueError(f"vertex id out of range for n={n}")
+    if len(mlist) == n:
         return cs
     pos = {v: i for i, v in enumerate(mlist)}
     get = pos.get

@@ -45,7 +45,7 @@ def _finish(pattern_id: str, n: int,
     raw.sort()
     members = [m for m, _sig in raw]
     base = _index_cliques(4, members, n)
-    # _index_cliques re-sorts an already sorted list: signatures stay aligned
+    # _index_cliques keeps the sorted order it is given: signatures stay aligned
     return PatternSet(h=4, cliques=base.cliques, degree=base.degree,
                       incidence=base.incidence, pattern_id=pattern_id,
                       signatures=[sig for _m, sig in raw])

@@ -92,13 +92,16 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                          "the iteration cannot resume from them")
     cliques = ws.cs.cliques
     h = ws.cs.h
-    load = ws.load
+    load = ws.load[:]
+    # a vertex in no clique keeps load 0.0, which scaling leaves 0.0
+    in_cliques = [v for v, d in enumerate(ws.cs.degree) if d]
     picks = ws.picks
     last = ws.rounds_done + rounds
     for t in range(ws.rounds_done + 1, last + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
-        load = [x * keep for x in load]
+        for v in in_cliques:
+            load[v] *= keep
         if h == 3:
             p0, p1, p2 = picks
             for cid, (a, b, c) in enumerate(cliques):

@@ -7,8 +7,10 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 
-from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
-                   parse_edge_list, restrict_cliques)
+from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
+                   definitely_less, degeneracy_order, parse_edge_list,
+                   restrict_cliques)
+from lhcds.cliques import _index_cliques
 from lhcds.proposal import _pad, _share_conditions_ok
 
 
@@ -116,6 +118,48 @@ def degeneracy_order_heap(g: Graph) -> list[int]:
                 deg[w] -= 1
                 heappush(heap, (deg[w], w))
     return order
+
+
+def enumerate_cliques_reference(g: Graph, h: int) -> CliqueSet:
+    """Reference clique listing over the degeneracy-ordered DAG: each edge
+    points from the endpoint peeled earlier to the one peeled later, and
+    each clique is listed once, as its rank-ordered chain, then sorted.
+    Triangles come from each vertex's successor pairs; other sizes from
+    recursive filtering of successor lists. ``enumerate_cliques`` must
+    return the same cliques, ids, degrees and incidence lists."""
+    if h < 2:
+        raise ValueError(f"clique size must be >= 2, got {h}")
+    adj = g.adj
+    out: list[tuple[int, ...]] = []
+    rank = [0] * g.n
+    for i, v in enumerate(degeneracy_order(g)):
+        rank[v] = i
+    succ = [[w for w in adj[v] if rank[w] > rv]
+            for v, rv in enumerate(rank)]
+    succ_sets = [set(s) for s in succ]
+    if h == 3:
+        for v, sv in enumerate(succ):
+            for w in sv:
+                sw = succ_sets[w]
+                for x in sv:
+                    if x in sw:
+                        out.append(tuple(sorted((v, w, x))))
+        return _index_cliques(3, sorted(out), g.n)
+
+    def extend(prefix: list[int], cand) -> None:
+        if len(prefix) == h - 1:
+            for v in cand:
+                out.append(tuple(sorted(prefix + [v])))
+            return
+        for v in cand:
+            nxt = [w for w in cand if w in succ_sets[v]]
+            if len(prefix) + 1 + len(nxt) >= h:
+                extend(prefix + [v], nxt)
+
+    for v, sv in enumerate(succ):
+        if len(sv) >= h - 1:
+            extend([v], sv)
+    return _index_cliques(h, sorted(out), g.n)
 
 
 def run_iterations_eager(ws, rounds: int):

@@ -7,11 +7,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from lhcds import (Graph, clique_core_numbers, enumerate_cliques,
-                   enumerate_patterns, induced_subgraph, initialize_bounds,
-                   oracle_compact_numbers, restrict_cliques)
-from helpers import (core_bruteforce, gnp, k_n, path_n, planted, triangle,
-                     two_k4_bridge_edge)
+from lhcds import (PATTERN_NAMES, Graph, clique_core_numbers,
+                   enumerate_cliques, enumerate_patterns, induced_subgraph,
+                   initialize_bounds, oracle_compact_numbers, restrict_cliques)
+from helpers import (core_bruteforce, enumerate_cliques_reference, gnp, k_n,
+                     path_n, planted, triangle, two_k4_bridge_edge)
 
 # clique sizes, and two pattern sets whose member quadruples repeat
 INSTANCE_KINDS = [2, 3, 4, "diamond", "3star"]
@@ -68,6 +68,33 @@ def test_degree_sum_and_exhaustive_cross_check(seed, n, h):
     assert cs.cliques == brute
 
 
+def _assert_same_listing(cs, ref):
+    # clique ids included: the lists must match position for position
+    assert cs.cliques == ref.cliques
+    assert cs.degree == ref.degree
+    assert cs.incidence == ref.incidence
+
+
+@given(st.integers(0, 10_000), st.integers(0, 14),
+       st.sampled_from([0.3, 0.5, 0.8]), st.integers(2, 5))
+def test_listing_matches_degeneracy_ordered_reference(seed, n, p, h):
+    g = gnp(random.Random(seed), n, p)
+    _assert_same_listing(enumerate_cliques(g, h),
+                         enumerate_cliques_reference(g, h))
+
+
+@pytest.mark.parametrize("kind", [2, 3, 4, 5, *PATTERN_NAMES])
+def test_every_producer_lists_in_sorted_order(kind):
+    # _index_cliques takes its list as given, so each producer must sort
+    for rng, g, cs in _seeded_sets(kind):
+        assert cs.cliques == sorted(cs.cliques)
+        assert all(list(c) == sorted(c) for c in cs.cliques)
+        for _ in range(3):
+            members = rng.sample(range(g.n), rng.randint(1, g.n))
+            sub = restrict_cliques(cs, members)
+            assert sub.cliques == sorted(sub.cliques)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cliques_match_networkx_on_planted_graphs(seed):
     rng = random.Random(seed)
@@ -85,21 +112,48 @@ def test_cliques_match_networkx_on_planted_graphs(seed):
             by_size[len(clique)].append(tuple(sorted(clique)))
     assert by_size[5], "the planted blocks should hold 5-cliques"
     for h, expected in by_size.items():
-        assert enumerate_cliques(g, h).cliques == sorted(expected)
+        cs = enumerate_cliques(g, h)
+        assert cs.cliques == sorted(expected)
+        _assert_same_listing(cs, enumerate_cliques_reference(g, h))
 
 
 @pytest.mark.time_limit(10)
 def test_triangles_of_a_hub_graph():
-    # a 20k-leaf star whose leaves 1..20000 also form a path: each path edge
-    # closes one triangle with the hub. The hub peels third from last, so it
-    # has two successors; oriented by id it would have 20k, and listing
-    # would test 4e8 pairs
+    # a hub joined to 20k leaves that form a path with chords (v, v+2): the
+    # hub closes a triangle with each leaf edge and a 4-clique with each
+    # leaf triangle. With the hub first, its forward set holds every leaf;
+    # in the middle or last, the hub is in the forward set of half or all
+    # of the leaves. Set intersections iterate the smaller side, so each
+    # edge costs at most three lookups wherever the hub sits. Filtering the
+    # hub's candidate list by membership instead would make about 4e8 tests
     leaves = 20_000
-    edges = [(0, v) for v in range(1, leaves + 1)] + \
-        [(v, v + 1) for v in range(1, leaves)]
-    cs = enumerate_cliques(Graph.from_edges(leaves + 1, edges), 3)
-    assert cs.cliques == [(0, v, v + 1) for v in range(1, leaves)]
-    assert cs.degree[0] == leaves - 1
+    n = leaves + 1
+    for hub in (0, n // 2, n - 1):
+        leaf = [v for v in range(n) if v != hub]
+        edges = [(hub, v) for v in leaf] + \
+            [(leaf[i], leaf[i + 1]) for i in range(leaves - 1)] + \
+            [(leaf[i], leaf[i + 2]) for i in range(leaves - 2)]
+        g = Graph.from_edges(n, edges)
+        runs = [leaf[i:i + 3] for i in range(leaves - 2)]
+        triangles = [(hub, u, v) for u, v in edges[leaves:]] + runs
+        cs = enumerate_cliques(g, 3)
+        assert cs.cliques == sorted(tuple(sorted(t)) for t in triangles)
+        assert cs.degree[hub] == 2 * leaves - 3
+        cs = enumerate_cliques(g, 4)
+        assert len(cs.cliques) == 19_998
+        assert cs.cliques == sorted(tuple(sorted([hub, *r])) for r in runs)
+        assert cs.degree[hub] == 19_998
+
+
+def test_restrict_cliques_rejects_ids_out_of_range():
+    # the triangle (0, 1, 2) and the pendant edge (2, 3): four distinct ids
+    # are not the whole graph unless they are 0..3
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    cs = enumerate_cliques(g, 3)
+    for members in ([0, 1, 3, 7], [0, 1, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            restrict_cliques(cs, members)
+    assert restrict_cliques(cs, [3, 2, 1, 0]) is cs
 
 
 def test_core_numbers_examples():
