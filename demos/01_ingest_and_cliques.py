@@ -3,8 +3,8 @@
 Run: python3 demos/01_ingest_and_cliques.py
 """
 
-from lhcds import (clique_core_numbers, degeneracy_order, enumerate_cliques,
-                   initialize_bounds, parse_edge_list)
+from lhcds import (clique_core_numbers, enumerate_cliques, initialize_bounds,
+                   parse_edge_list)
 
 # Two tight communities sharing nothing but one middleman (vertex 104).
 EDGE_LIST = """\
@@ -29,7 +29,6 @@ EDGE_LIST = """\
 
 g = parse_edge_list(EDGE_LIST)
 print(f"parsed: {g.n} vertices, {g.m} edges (external ids {g.labels})")
-print("peeling order (internal ids):", degeneracy_order(g))
 
 for h in (2, 3):
     cs = enumerate_cliques(g, h)

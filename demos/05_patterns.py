@@ -23,7 +23,7 @@ print(f"\n{'pattern':>15}  instances  whole-graph density")
 for name in PATTERN_NAMES:
     ps = enumerate_patterns(g, name)
     d = pattern_density(ps, range(g.n))
-    print(f"{name:>15}  {len(ps.instances):>9}  {d} ({float(d):.3f})")
+    print(f"{name:>15}  {len(ps.cliques):>9}  {d} ({float(d):.3f})")
 
 for name in ("4loop", "diamond"):
     records = ippv_pattern(g, name, PipelineConfig(k=2))

@@ -13,13 +13,13 @@ provides ground truth on tiny graphs.
 
 from .cliques import (Bounds, CliqueSet, clique_core_numbers, enumerate_cliques,
                       initialize_bounds, restrict_cliques)
-from .flow import (BoundaryClique, CutResult, FlowNetwork, build_network,
-                   derive_compact, is_densest, min_cut, verify_basic, verify_fast)
-from .graph import (Graph, VertexSet, connected_components, degeneracy_order,
-                    induced_subgraph, parse_edge_list)
+from .flow import (CutResult, FlowNetwork, build_network, derive_compact,
+                   is_densest, min_cut, verify_basic, verify_fast)
+from .graph import (Graph, VertexSet, connected_components, induced_subgraph,
+                    parse_edge_list)
 from .oracle import (compact_numbers, compactness, oracle_compact_numbers,
                      oracle_compactness, oracle_lhcds)
-from .patterns import PATTERN_NAMES, PatternSet, enumerate_patterns, pattern_density
+from .patterns import PATTERN_NAMES, enumerate_patterns, pattern_density
 from .pipeline import (PipelineConfig, ResultRecord, RoundEvent, RunStats,
                        ippv, ippv_pattern)
 from .proposal import Partition, derive_stable_groups, tentative_decomposition
@@ -29,11 +29,10 @@ from .weights import WeightState, init_weights, objective, run_iterations
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds", "BoundaryClique", "CliqueSet", "CutResult", "FlowNetwork",
-    "Graph", "PATTERN_NAMES", "Partition", "PatternSet", "PipelineConfig",
-    "ResultRecord", "RoundEvent", "RunStats", "VertexSet", "WeightState",
-    "build_network", "clique_core_numbers", "compact_numbers", "compactness",
-    "connected_components", "definitely_less", "degeneracy_order",
+    "Bounds", "CliqueSet", "CutResult", "FlowNetwork", "Graph", "PATTERN_NAMES",
+    "Partition", "PipelineConfig", "ResultRecord", "RoundEvent", "RunStats",
+    "VertexSet", "WeightState", "build_network", "clique_core_numbers",
+    "compact_numbers", "compactness", "connected_components", "definitely_less",
     "derive_compact", "derive_stable_groups", "enumerate_cliques",
     "enumerate_patterns", "induced_subgraph", "init_weights", "initialize_bounds",
     "ippv", "ippv_pattern", "is_densest", "min_cut", "objective",

@@ -74,8 +74,13 @@ class CliqueSet:
         return [hits[v] for v in members]
 
     def count_within(self, members: Iterable[int]) -> int:
-        """Number of cliques entirely inside ``members``."""
-        return sum(self.degrees_within(list(set(members)))) // self.h
+        """Number of cliques entirely inside ``members``. Raises ValueError
+        for an id outside 0..n-1."""
+        mset = set(members)
+        n = len(self.degree)
+        if mset and (min(mset) < 0 or max(mset) >= n):
+            raise ValueError(f"vertex id out of range for n={n}")
+        return sum(self.degrees_within(list(mset))) // self.h
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:

@@ -33,17 +33,6 @@ from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
 
 
 @dataclass
-class BoundaryClique:
-    """A clique straddling the working set's border: its id in the host
-    clique set, the number of its vertices inside (1 <= cnt <= h-1), and those
-    inside vertices in the working set's local id space."""
-
-    clique_id: int
-    cnt: int
-    inside: tuple[int, ...]
-
-
-@dataclass
 class FlowNetwork:
     """Directed network with integer capacities over a shared denominator.
 
@@ -73,19 +62,6 @@ class FlowNetwork:
     def vertex_node(self, v: int) -> int:
         return 2 + v
 
-    def add_node(self) -> int:
-        self.arcs.append([])
-        return len(self.arcs) - 1
-
-    def add_arc(self, u: int, v: int, cap: int) -> None:
-        if cap < 0:
-            raise ValueError(f"negative capacity {cap}")
-        e = len(self.head)
-        self.head += (v, u)
-        self.cap += (cap, 0)
-        self.arcs[u].append(e)
-        self.arcs[v].append(e + 1)
-
 
 @dataclass
 class CutResult:
@@ -94,30 +70,32 @@ class CutResult:
 
 
 def build_network(cs: CliqueSet, rho: Fraction,
-                  boundary: Sequence[BoundaryClique] = ()) -> FlowNetwork:
+                  boundary: Sequence[tuple[int, ...]] = ()) -> FlowNetwork:
     """Assemble the verification network on the vertices of cs.
 
     Interior cliques (all members inside): member -> clique with capacity 1 and
-    clique -> member with capacity h-1. A boundary clique with cnt inside
-    members uses capacity h/cnt inward and adds h/cnt to each inside member's
-    source-arc mass. Every vertex gets source -> v with its (augmented)
-    clique-degree mass and v -> t with capacity rho*h, clamped at zero for
-    negative rho. All capacities are exact multiples of 1/den.
+    clique -> member with capacity h-1. A boundary entry is a clique that
+    straddles the border, given as the tuple of its cnt = len(entry) inside
+    members (1 <= cnt <= h-1, local ids); it gets a node of its own after the
+    clique nodes, member -> node with capacity h/cnt and node -> member with
+    capacity h-1, and adds h/cnt to each inside member's source-arc mass.
+    Every vertex gets source -> v with its (augmented) clique-degree mass and
+    v -> t with capacity rho*h, clamped at zero for negative rho. All
+    capacities are exact multiples of 1/den.
     """
     h = cs.h
     rho_h = Fraction(rho) * h
-    den = lcm(rho_h.denominator, *(b.cnt for b in boundary)) if boundary \
-        else rho_h.denominator
+    den = lcm(rho_h.denominator, *map(len, boundary))
     n = len(cs.degree)
     net = FlowNetwork(num_vertices=n, den=den)
     head, cap, arcs = net.head, net.cap, net.arcs
 
     extra_mass = [0] * n
-    for b in boundary:
-        if not (1 <= b.cnt <= h - 1):
-            raise ValueError(f"boundary count {b.cnt} outside [1, {h - 1}]")
-        for v in b.inside:
-            extra_mass[v] += h * den // b.cnt
+    for inside in boundary:
+        if not 1 <= len(inside) < h:
+            raise ValueError(f"boundary count {len(inside)} outside [1, {h - 1}]")
+        for v in inside:
+            extra_mass[v] += h * den // len(inside)
 
     sink_cap_num = rho_h * den
     assert sink_cap_num.denominator == 1
@@ -150,12 +128,19 @@ def build_network(cs: CliqueSet, rho: Fraction,
             arcs[v + 2] += (e, e + 3)
             e += 4
 
-    for b in boundary:
-        node = net.add_node()
-        inward = h * den // b.cnt
-        for v in b.inside:
-            net.add_arc(net.vertex_node(v), node, inward)
-            net.add_arc(node, net.vertex_node(v), (h - 1) * den)
+    # Each boundary entry then gets the next node and the same per-member
+    # layout, with inward capacity h/cnt.
+    for inside in boundary:
+        node = len(arcs)
+        out = []
+        inward = h * den // len(inside)
+        for v in inside:
+            e = len(head)
+            head += (node, v + 2, v + 2, node)
+            cap += (inward, 0, (h - 1) * den, 0)
+            arcs[v + 2] += (e, e + 3)
+            out += (e + 1, e + 2)
+        arcs.append(out)
     return net
 
 
@@ -261,7 +246,7 @@ def min_cut(net: FlowNetwork) -> CutResult:
 
 
 def derive_compact(cs: CliqueSet, rho: Fraction,
-                   boundary: Sequence[BoundaryClique] = ()) -> VertexSet:
+                   boundary: Sequence[tuple[int, ...]] = ()) -> VertexSet:
     """Largest vertex set maximizing (cliques inside) - rho * size.
 
     The caller supplies rho already shifted (e.g. by -1/|V|^2); with that
@@ -508,12 +493,11 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}
     sub_cs = restrict_cliques(cs, t_sorted)
-    border: list[BoundaryClique] = []
+    border = []
     for cid in sorted(set(suspected)):
         inside = tuple(pos[w] for w in cliques[cid] if in_t[w])
         if len(inside) < h:  # cnt == h means the clique ended up interior
-            border.append(BoundaryClique(clique_id=cid, cnt=len(inside),
-                                         inside=inside))
+            border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
     compact = derive_compact(sub_cs, shifted, border)
     return tuple(sorted(s_set)) in connected_components(

@@ -1,4 +1,4 @@
-"""Compact undirected graph: ingestion, induced subgraphs, components, peeling order.
+"""Compact undirected graph: ingestion, induced subgraphs, connected components.
 
 Vertices are dense internal ids 0..n-1. External ids from input files are kept in
 ``labels`` and only matter at I/O boundaries. A Graph is immutable after
@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import islice
 from operator import lt
 from typing import IO, Iterable
@@ -168,42 +167,3 @@ def connected_components(g: Graph, members: Iterable[int] | None = None
         comps.append(tuple(sorted(comp)))
     return comps
 
-
-def degeneracy_order(g: Graph) -> list[int]:
-    """Repeated minimum-degree peeling order, ties broken by smallest id.
-
-    Deterministic: the same graph always yields the same permutation of 0..n-1.
-    ``bucket[d]`` is a heap of the ids whose degree was d when they were
-    filed; a vertex is filed again each time its degree drops, and an entry
-    whose id no longer has degree d is stale and skipped when popped. Ids are
-    filed initially in ascending order, so every list starts as a heap. The
-    minimum degree falls by at most one per removal, so the cursor ``d``
-    steps back at most once per vertex.
-    """
-    adj = g.adj
-    deg = [len(a) for a in adj]
-    bucket: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, dv in enumerate(deg):
-        bucket[dv].append(v)
-    order: list[int] = []
-    d = 0
-    for _ in range(g.n):
-        while True:
-            ids = bucket[d]
-            if not ids:
-                d += 1
-                continue
-            v = heappop(ids)
-            if deg[v] == d:
-                break
-        # a peeled vertex keeps degree -1, so it never matches a bucket again
-        deg[v] = -1
-        order.append(v)
-        for w in adj[v]:
-            dw = deg[w] - 1
-            if dw >= 0:
-                deg[w] = dw
-                heappush(bucket[dw], w)
-        if d:
-            d -= 1
-    return order

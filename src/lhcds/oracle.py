@@ -8,7 +8,9 @@ exists for tests and cross-checking only.
 
 The generic "instances" entry points accept any list of vertex tuples
 (h-cliques, 4-vertex pattern instances, plain edges), so every density
-notion in the package shares one oracle.
+notion in the package shares one oracle. Each checks its cap before it
+builds a table; the ``oracle_*`` wrappers check again before they list the
+cliques, which on a large graph cost far more than the rejection.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ def _compactness_of_mask(count: list[int], mask: int) -> Fraction:
 
 def compactness(g: Graph, instances: Sequence[tuple[int, ...]]) -> Fraction:
     """Largest rho such that removing any vertex subset kills at least
-    rho times as many instances; requires g connected."""
+    rho times as many instances; requires g connected and n <= 15."""
+    if g.n > _COMPACTNESS_CAP:
+        raise ValueError(f"oracle compactness capped at n <= {_COMPACTNESS_CAP}")
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
     if not _connected(adj, full):
@@ -95,7 +99,10 @@ def compactness(g: Graph, instances: Sequence[tuple[int, ...]]) -> Fraction:
 
 
 def compact_numbers(g: Graph, instances: Sequence[tuple[int, ...]]) -> list[Fraction]:
-    """Per-vertex largest rho over connected supersets: the compact number."""
+    """Per-vertex largest rho over connected supersets: the compact number.
+    Requires n <= 12."""
+    if g.n > _NUMBERS_CAP:
+        raise ValueError(f"oracle compact numbers capped at n <= {_NUMBERS_CAP}")
     adj = _adj_masks(g)
     count = _instance_count_by_mask(g.n, instances)
     phi = [Fraction(0)] * g.n
@@ -121,8 +128,11 @@ def lhcds_enumeration(g: Graph, instances: Sequence[tuple[int, ...]]
     at least one instance (clique-free connected sets are degenerate and
     excluded), and no connected strict superset is compact at that density.
     Internally asserts that every member's compact number equals the density.
+    Requires n <= 12.
     """
     n = g.n
+    if n > _NUMBERS_CAP:
+        raise ValueError(f"oracle enumeration capped at n <= {_NUMBERS_CAP}")
     adj = _adj_masks(g)
     count = _instance_count_by_mask(n, instances)
     full = (1 << n) - 1

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, permutations
 
 from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
-                   definitely_less, degeneracy_order, parse_edge_list,
-                   restrict_cliques)
+                   definitely_less, parse_edge_list, restrict_cliques)
 from lhcds.cliques import _index_cliques
 from lhcds.proposal import _pad, _share_conditions_ok
 
@@ -132,7 +132,7 @@ def enumerate_cliques_reference(g: Graph, h: int) -> CliqueSet:
     adj = g.adj
     out: list[tuple[int, ...]] = []
     rank = [0] * g.n
-    for i, v in enumerate(degeneracy_order(g)):
+    for i, v in enumerate(degeneracy_order_heap(g)):
         rank[v] = i
     succ = [[w for w in adj[v] if rank[w] > rv]
             for v, rv in enumerate(rank)]
@@ -160,6 +160,37 @@ def enumerate_cliques_reference(g: Graph, h: int) -> CliqueSet:
         if len(sv) >= h - 1:
             extend([v], sv)
     return _index_cliques(h, sorted(out), g.n)
+
+
+# Each 4-vertex pattern as an edge list on the positions 0..3.
+PATTERN_EDGES = {
+    "3star": [(0, 1), (0, 2), (0, 3)],
+    "4path": [(0, 1), (1, 2), (2, 3)],
+    "tailed-triangle": [(0, 1), (0, 2), (1, 2), (2, 3)],
+    "4loop": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "diamond": [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+    "4clique": list(combinations(range(4), 2)),
+}
+
+
+def pattern_counts_bruteforce(g: Graph, pattern: str) -> Counter:
+    """Non-induced instances of the pattern per sorted vertex quadruple Q:
+    the edge subsets of G[Q] that equal the pattern's edge set under one of
+    the 24 assignments of Q to the pattern's positions (every position has
+    an edge, so each such subset covers Q). Only quadruples with at least
+    one instance appear."""
+    shapes = {frozenset(frozenset((p[a], p[b])) for a, b in PATTERN_EDGES[pattern])
+              for p in permutations(range(4))}
+    size = len(PATTERN_EDGES[pattern])
+    counts: Counter = Counter()
+    for quad in combinations(range(g.n), 4):
+        present = [frozenset((i, j)) for i, j in combinations(range(4), 2)
+                   if g.has_edge(quad[i], quad[j])]
+        found = sum(frozenset(sub) in shapes
+                    for sub in combinations(present, size))
+        if found:
+            counts[quad] = found
+    return counts
 
 
 def run_iterations_eager(ws, rounds: int):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lhcds.flow as flow_mod
-from lhcds import (BoundaryClique, Bounds, build_network, clique_core_numbers,
+from lhcds import (Bounds, build_network, clique_core_numbers,
                    connected_components, derive_compact, enumerate_cliques,
                    enumerate_patterns, induced_subgraph, initialize_bounds,
                    is_densest, min_cut, oracle_compact_numbers,
@@ -46,8 +46,7 @@ def test_network_construction_triangle():
 def test_network_boundary_compensation():
     g = Graph.from_edges(1, [])
     cs = enumerate_cliques(g, 3)
-    entry = BoundaryClique(clique_id=0, cnt=1, inside=(0,))
-    net = build_network(cs, Fraction(1, 3), [entry])
+    net = build_network(cs, Fraction(1, 3), [(0,)])
     bnode = len(net.arcs) - 1
     vn = net.vertex_node(0)
     assert dict(_arc_caps(net, vn))[bnode] == 3 * net.den        # h / cnt
@@ -59,7 +58,7 @@ def test_network_rejects_bad_count():
     g = triangle()
     cs = enumerate_cliques(g, 3)
     with pytest.raises(ValueError):
-        build_network(cs, Fraction(1), [BoundaryClique(0, 3, (0, 1, 2))])
+        build_network(cs, Fraction(1), [(0, 1, 2)])
 
 
 def test_min_cut_triangle():

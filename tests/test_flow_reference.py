@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.flow import preflow_push
 
-from lhcds import (BoundaryClique, Graph, build_network,
+from lhcds import (Graph, build_network,
                    derive_compact, enumerate_cliques, induced_subgraph,
                    min_cut, restrict_cliques)
 
@@ -57,7 +57,7 @@ def _reference(sub, sub_cs, rho, boundary):
     side of the documented network, by networkx."""
     h = sub_cs.h
     rho_h = rho * h
-    den = lcm(rho_h.denominator, *(b.cnt for b in boundary))
+    den = lcm(rho_h.denominator, *map(len, boundary))
     net = nx.DiGraph()
     net.add_node("s")
     net.add_node("t")
@@ -66,11 +66,11 @@ def _reference(sub, sub_cs, rho, boundary):
         for v in members:
             net.add_edge(("v", v), ("c", cid), capacity=den)
             net.add_edge(("c", cid), ("v", v), capacity=(h - 1) * den)
-    for i, b in enumerate(boundary):
-        for v in b.inside:
-            net.add_edge(("v", v), ("b", i), capacity=h * den // b.cnt)
+    for i, inside in enumerate(boundary):
+        for v in inside:
+            net.add_edge(("v", v), ("b", i), capacity=h * den // len(inside))
             net.add_edge(("b", i), ("v", v), capacity=(h - 1) * den)
-            mass[v] += h * den // b.cnt
+            mass[v] += h * den // len(inside)
     sink = max(0, rho_h * den)
     for v in range(sub.n):
         net.add_edge("s", ("v", v), capacity=mass[v])
@@ -94,7 +94,7 @@ def _value(sub_cs, boundary, side):
     this minus rho * |side|."""
     inside = set(side)
     whole = sum(all(v in inside for v in c) for c in sub_cs.cliques)
-    return whole + sum(set(b.inside) <= inside for b in boundary)
+    return whole + sum(set(b) <= inside for b in boundary)
 
 
 def _ties(sub, sub_cs, boundary, planted):
@@ -127,11 +127,10 @@ def _cases(n, h):
     t_sorted = _working_set(g, planted[3], n // 2)
     pos = {v: i for i, v in enumerate(t_sorted)}
     border = []
-    for cid, members in enumerate(cs.cliques):
+    for members in cs.cliques:
         inside = tuple(pos[w] for w in members if w in pos)
         if 0 < len(inside) < h:
-            border.append(BoundaryClique(clique_id=cid, cnt=len(inside),
-                                         inside=inside))
+            border.append(inside)
     block = planted[:9]
     for sub, sub_cs, boundary, sub_block in (
             (g, cs, [], block),

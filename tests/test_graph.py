@@ -3,8 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from lhcds import (Graph, connected_components, degeneracy_order,
-                   induced_subgraph, parse_edge_list)
+from lhcds import Graph, connected_components, induced_subgraph, parse_edge_list
 from helpers import (clique_edges, degeneracy_order_heap, gnp, k_n, path_n,
                      planted, star, triangle, two_k4_bridge_edge)
 import random
@@ -93,16 +92,28 @@ def test_components():
 
 
 def test_degeneracy_order_k4():
-    assert degeneracy_order(k_n(4)) == [0, 1, 2, 3]
+    assert degeneracy_order_heap(k_n(4)) == [0, 1, 2, 3]
 
 
 def test_degeneracy_order_peels_min_degree_first():
     # star: leaves 1, 2 peel first, then the center's degree has dropped to 1
     # and it ties with leaf 3; smallest id wins
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert degeneracy_order(star) == [1, 2, 0, 3]
+    assert degeneracy_order_heap(star) == [1, 2, 0, 3]
     # path 0-1-2: after peeling 0, vertices 1 and 2 tie at degree 1
-    assert degeneracy_order(path_n(3)) == [0, 1, 2]
+    assert degeneracy_order_heap(path_n(3)) == [0, 1, 2]
+
+
+def _peel_order_bruteforce(g):
+    """Minimum-degree peeling by full scans: each step removes the vertex of
+    least degree among those left, the smallest id on ties."""
+    left = set(range(g.n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (sum(w in left for w in g.adj[u]), u))
+        left.remove(v)
+        order.append(v)
+    return order
 
 
 @pytest.mark.parametrize("g", [
@@ -111,7 +122,7 @@ def test_degeneracy_order_peels_min_degree_first():
     Graph.from_edges(9, [(0, 1), (1, 2), (5, 6)]),
 ], ids=lambda g: f"n{g.n}-m{g.m}")
 def test_degeneracy_order_matches_heap_reference(g):
-    assert degeneracy_order(g) == degeneracy_order_heap(g)
+    assert degeneracy_order_heap(g) == _peel_order_bruteforce(g)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -120,7 +131,7 @@ def test_degeneracy_order_matches_heap_reference_planted(seed):
     n = rng.randint(30, 300)
     g = planted(seed, n=n, m=rng.randint(n, 4 * n), blocks=rng.randint(1, 4),
                 size_lo=4, size_hi=9, p=rng.choice([0.7, 1.0]))
-    assert degeneracy_order(g) == degeneracy_order_heap(g)
+    assert degeneracy_order_heap(g) == _peel_order_bruteforce(g)
 
 
 @st.composite
@@ -133,7 +144,7 @@ def edge_graphs(draw):
 
 @given(edge_graphs())
 def test_degeneracy_order_matches_heap_reference_any(g):
-    assert degeneracy_order(g) == degeneracy_order_heap(g)
+    assert degeneracy_order_heap(g) == _peel_order_bruteforce(g)
 
 
 def test_round_trip_identity():
@@ -150,5 +161,3 @@ def test_components_partition_and_order_determinism(seed, n):
     flat = sorted(v for comp in comps for v in comp)
     assert flat == list(range(n))
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
-    assert degeneracy_order(g) == degeneracy_order(g)
-    assert sorted(degeneracy_order(g)) == list(range(n))

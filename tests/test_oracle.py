@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Graph, enumerate_cliques, induced_subgraph,
-                   oracle_compact_numbers, oracle_compactness, oracle_lhcds)
+from lhcds import (Graph, compact_numbers, compactness, enumerate_cliques,
+                   induced_subgraph, oracle_compact_numbers, oracle_compactness,
+                   oracle_lhcds)
+import lhcds.oracle as oracle_mod
+from lhcds.oracle import lhcds_enumeration
 from helpers import clique_edges, gnp, k_n, path_n, triangle, \
     two_k4_bridge_vertex
 
@@ -30,6 +33,25 @@ def test_compact_numbers_examples():
     assert phi[4] == 0  # the bridge vertex sits in no triangle
     with pytest.raises(ValueError):
         oracle_compact_numbers(k_n(13), 3)
+
+
+def test_instance_entry_points_enforce_caps():
+    # one vertex past each cap: the 2^n tables are never built
+    with pytest.raises(ValueError, match="n <= 15"):
+        compactness(path_n(16), enumerate_cliques(path_n(16), 2).cliques)
+    edges = enumerate_cliques(path_n(13), 2).cliques
+    with pytest.raises(ValueError, match="n <= 12"):
+        compact_numbers(path_n(13), edges)
+    with pytest.raises(ValueError, match="n <= 12"):
+        lhcds_enumeration(path_n(13), edges)
+
+
+def test_wrappers_reject_before_listing(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "enumerate_cliques",
+                        lambda g, h: pytest.fail("listed the cliques"))
+    for entry in (oracle_compactness, oracle_compact_numbers, oracle_lhcds):
+        with pytest.raises(ValueError, match="capped"):
+            entry(k_n(16), 3)
 
 
 def test_lhcds_examples():
