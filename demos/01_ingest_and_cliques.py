@@ -1,7 +1,12 @@
 """Ingest an edge list, enumerate h-cliques, and read off the initial bounds.
 
+Bounds are exact: integer numerators over one denominator, printed here as
+fractions.
+
 Run: python3 demos/01_ingest_and_cliques.py
 """
+
+from fractions import Fraction
 
 from lhcds import (clique_core_numbers, enumerate_cliques, initialize_bounds,
                    parse_edge_list)
@@ -36,8 +41,12 @@ for h in (2, 3):
     for clique in cs.cliques:
         print("  ", tuple(g.labels[v] for v in clique))
     core = clique_core_numbers(cs)
-    bounds = initialize_bounds(core, h)
+    # any multiple of h makes core/h exact; the driver uses the weight
+    # state's denominator
+    bounds = initialize_bounds(core, h, h)
     print("per-vertex clique-core numbers and compact-number bounds:")
     for v in range(g.n):
+        lower = Fraction(bounds.lower[v], bounds.den)
+        upper = Fraction(bounds.upper[v], bounds.den)
         print(f"   vertex {g.labels[v]}: core={core[v]} "
-              f"bounds=[{bounds.lower[v]}, {bounds.upper[v]}]")
+              f"bounds=[{lower}, {upper}]")

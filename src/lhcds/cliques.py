@@ -28,7 +28,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from math import inf, nextafter
 from typing import Iterable, Sequence
 
 from .graph import Graph
@@ -226,31 +225,22 @@ def clique_core_numbers(cs: CliqueSet,
 
 @dataclass
 class Bounds:
-    """Per-vertex bounds on the h-clique compact number, as floats rounded
-    outward: every upper bound is at or above the exact compact number and
-    every lower bound at or below it.
+    """Per-vertex bounds on the h-clique compact number, as exact integer
+    numerators over the one denominator ``den``: ``lower[u] / den`` is at or
+    below u's compact number and ``upper[u] / den`` at or above it."""
 
-    Core-derived bounds are rounded outward when they are seeded; bounds
-    derived from approximate weight totals carry a drift allowance, applied
-    at tightening time, that covers the round-off of the weight iteration.
-    """
-
-    upper: list[float]
-    lower: list[float]
+    upper: list[int]
+    lower: list[int]
+    den: int
 
     def copy(self) -> "Bounds":
-        return Bounds(upper=list(self.upper), lower=list(self.lower))
+        return Bounds(upper=list(self.upper), lower=list(self.lower),
+                      den=self.den)
 
 
-def _div_down(c: int, h: int) -> float:
-    """The largest float at or below c / h."""
-    q = c / h  # correctly rounded, so at most one float step off
-    num, den = q.as_integer_ratio()
-    return q if num * h <= c * den else nextafter(q, -inf)
-
-
-def initialize_bounds(core: Sequence[int], h: int) -> Bounds:
-    """Initial bounds from core numbers: upper = core, lower = core / h
-    rounded down (core numbers themselves are exact as floats)."""
-    return Bounds(upper=[float(c) for c in core],
-                  lower=[_div_down(c, h) for c in core])
+def initialize_bounds(core: Sequence[int], h: int, den: int) -> Bounds:
+    """Initial bounds from core numbers over ``den``: upper = core, lower =
+    core / h rounded down to a multiple of 1/den, which is exact when h
+    divides ``den`` (it divides every weight state's)."""
+    return Bounds(upper=[c * den for c in core],
+                  lower=[c * den // h for c in core], den=den)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm, nextafter
+from math import lcm
 from typing import Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
@@ -319,21 +319,15 @@ def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
     return s_set
 
 
-def _float_bracket(rho: Fraction) -> tuple[float, float]:
-    """(dead_at, hot_at): the largest float below rho and the smallest float
-    above it. For a float x, x < rho iff x <= dead_at and x > rho iff
-    x >= hot_at."""
-    f = float(rho)
-    if f < rho:
-        return f, nextafter(f, inf)
-    if f > rho:
-        return nextafter(f, -inf), f
-    return nextafter(f, -inf), nextafter(f, inf)
+def _thresholds(num: int, size: int, den: int) -> tuple[int, int]:
+    """(dead_at, hot_at) for rho = num / size and bound numerators over den:
+    x / den < rho iff x <= dead_at, and x / den > rho iff x >= hot_at."""
+    return (num * den - 1) // size, num * den // size + 1
 
 
 def _interior_members(cs: CliqueSet, s: Sequence[int],
-                      degrees: Sequence[int], lower: Sequence[float],
-                      hot_at: float, output_membership: Sequence[bool]
+                      degrees: Sequence[int], lower: Sequence[int],
+                      hot_at: int, output_membership: Sequence[bool]
                       ) -> set[int]:
     """The members of s whose cliques ``verify_fast`` need not walk: those
     whose degree inside s (``degrees[i]`` for ``s[i]``) is their whole
@@ -378,11 +372,11 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     smallest member of s and checks only the other members of each clique
     it meets, so a hot smallest member can go unflagged.
 
-    The float bounds are compared with the exact density rho through two
-    thresholds computed once per call: a vertex is dead (upper bound below
-    rho) when its upper bound is at most the largest float below rho, and
-    hot (lower bound above rho) when its lower bound is at least the
-    smallest float above rho. For float bounds these are the exact compares.
+    The bound numerators are compared with the exact density rho through
+    two integer thresholds computed once per call: a vertex is dead (upper
+    bound below rho) when its upper numerator is at most the largest
+    numerator below rho, and hot (lower bound above rho) when its lower
+    numerator is at least the smallest numerator above it.
 
     ``degrees[i]`` is the number of cliques inside s that hold ``s[i]``
     (``CliqueSet.degrees_within(s)``); it is computed when not given. Given
@@ -421,8 +415,9 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
         degrees = cs.degrees_within(s)
     elif len(degrees) != len(s) or any(a >= b for a, b in zip(s, s[1:])):
         raise ValueError("degrees need s sorted, distinct and of their length")
-    rho = Fraction(sum(degrees) // cs.h, len(s_set))
-    dead_at, hot_at = _float_bracket(rho)
+    count = sum(degrees) // cs.h
+    rho = Fraction(count, len(s_set))
+    dead_at, hot_at = _thresholds(count, len(s_set), bounds.den)
     upper, lower = bounds.upper, bounds.lower
     cliques = cs.cliques
     incidence = cs.incidence

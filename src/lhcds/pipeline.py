@@ -129,12 +129,14 @@ class RunStats:
 @dataclass
 class RoundEvent:
     """Trace of the propose and prune pass for tests: candidates after
-    pruning, the pruned vertices, and snapshots of the bound arrays."""
+    pruning, the pruned vertices, and snapshots of the bound arrays, as
+    integer numerators over ``den``."""
 
     candidates: list[VertexSet]
     pruned: VertexSet
-    upper: list
-    lower: list
+    upper: list[int]
+    lower: list[int]
+    den: int
 
 
 @dataclass
@@ -180,9 +182,9 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     stats.rounds += 1
     stats.max_iterations_used = cfg.iterations
 
-    bounds = initialize_bounds(clique_core_numbers(cs), cs.h)
     ws = run_iterations(init_weights(cs), cfg.iterations)
     stats.fw_updates += cfg.iterations * len(cs.cliques)
+    bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
     groups, bounds = derive_stable_groups(tentative_decomposition(cs, ws),
                                           ws, cs, bounds)
     kept, surviving = prune(g, groups, bounds, cs)
@@ -193,7 +195,7 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     if on_round is not None:
         on_round(RoundEvent(candidates=[c.vertices for c in candidates],
                             pruned=pruned, upper=list(bounds.upper),
-                            lower=list(bounds.lower)))
+                            lower=list(bounds.lower), den=bounds.den))
 
     emitted_flag = [False] * g.n
     results: list[ResultRecord] = []

@@ -8,6 +8,9 @@ block they touch, after which consecutive blocks are greedily merged until
 they form stable groups: blocks separated from the rest in load, whose
 boundary cliques carry exactly zero weight across the boundary. Stable
 groups bound every member's compact number by the group's load range.
+
+Shares, loads and bounds here are exact integer numerators over the weight
+state's one denominator ``ws.den``, so every comparison is exact.
 """
 
 from __future__ import annotations
@@ -22,15 +25,6 @@ from typing import Iterable
 from .cliques import Bounds, CliqueSet
 from .graph import VertexSet
 from .weights import WeightState
-
-# Drift allowance baked into load-derived bounds at tightening time, so the
-# stored interval stays sound for the exact compact number despite float
-# round-off in the weight iteration (see Bounds docstring).
-_DRIFT = 1e-9
-
-
-def _pad(x: float) -> float:
-    return _DRIFT * (1.0 + abs(x))
 
 
 @dataclass
@@ -48,13 +42,18 @@ class Partition:
 def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     """Partition by load-descending prefix-density records and reassign weight.
 
-    Cut positions are the prefix lengths q whose density (cliques fully inside
-    the first q vertices, over q) strictly exceeds the density of every longer
-    prefix; the comparison is exact integer arithmetic. For each clique
-    spanning multiple blocks, the weight its members hold outside the last
-    touched block is zeroed (exact zeros) and redistributed equally among its
-    members inside that block; ws's shares and loads are updated in place,
-    and ``run_iterations`` refuses ws from then on.
+    The loads are first made exact: ``ws.load`` becomes the integer sums of
+    the shares over ``ws.den``, and vertices are sorted by descending exact
+    load, ties by ascending id. Cut positions are the prefix lengths q whose
+    density (cliques fully inside the first q vertices, over q) strictly
+    exceeds the density of every longer prefix; the comparison is exact
+    integer arithmetic. For each clique spanning multiple blocks, the weight
+    its members hold outside the last touched block is zeroed and
+    redistributed equally among its members inside that block, and only
+    those members' loads change; ws's shares and loads are updated in
+    place, and ``run_iterations`` refuses ws from then on. The split is
+    exact: every share is a multiple of lcm(1..h-1), which the count of
+    inside members divides.
 
     Blocks are contiguous runs of the load order, so a clique spans blocks
     iff its first and last members in that order lie in different blocks,
@@ -66,9 +65,13 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     n = len(cs.degree)
     cliques = cs.cliques
     h = cs.h
+    share = ws.share
+    load = [0] * n
+    for v, x in zip(chain.from_iterable(cliques), share):
+        load[v] += x
     # descending load, ties by ascending id: a reverse sort keeps equal keys
     # in input order
-    order = sorted(range(n), key=ws.load.__getitem__, reverse=True)
+    order = sorted(range(n), key=load.__getitem__, reverse=True)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -102,40 +105,38 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     block = block_at.__getitem__
     spanning = list(compress(count(), map(
         ne, map(block, map(min, *columns())), map(block, last))))
-    share = ws.share
     for cid in spanning:
         last_block = block_at[last[cid]]
         base = cid * h
+        members = cliques[cid]
         inside = []
-        moved = 0.0
-        for i, v in enumerate(cliques[cid]):
+        moved = 0
+        for i, v in enumerate(members):
             if block_at[pos[v]] == last_block:
                 inside.append(i)
             else:
-                moved += share[base + i]
-                share[base + i] = 0.0
-        add = moved / len(inside)
+                x = share[base + i]
+                moved += x
+                load[v] -= x
+                share[base + i] = 0
+        add = moved // len(inside)
         for i in inside:
             share[base + i] += add
-
-    # summed in clique-id, then position order, like the iteration's shares
-    load = [0.0] * n
-    for v, x in zip(chain.from_iterable(cliques), share):
-        load[v] += x
+            load[members[i]] += add
     ws.load = load
     ws.picks = None
     return Partition(groups=groups, order=order, spanning=spanning)
 
 
-def _share_conditions_ok(members: set[int], lo: float, hi: float,
+def _share_conditions_ok(members: set[int], lo: int, hi: int,
                          ws: WeightState, cs: CliqueSet) -> bool:
     """Def conditions (2)/(3): no weight crosses the candidate's boundary."""
     incident = set(chain.from_iterable(map(cs.incidence.__getitem__, members)))
     return _no_weight_crosses(incident, members, lo, hi, ws, cs)
 
 
-def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: float,
-                       hi: float, ws: WeightState, cs: CliqueSet) -> bool:
+def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: int,
+                       hi: int, ws: WeightState, cs: CliqueSet) -> bool:
     """Conditions (2)/(3) over the cliques ``cids`` only: a clique joining
     the members to a vertex above ``hi`` carries share 0 on that vertex, and
     one joining them to a vertex below ``lo`` carries share 0 on every
@@ -151,11 +152,11 @@ def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: float,
             if w in members:
                 continue
             if load[w] > hi:
-                if share[base + i] != 0.0:
+                if share[base + i]:
                     return False
             elif not low_checked:  # load[w] < lo by condition (1)
                 for j, u in enumerate(clique):
-                    if u in members and share[base + j] != 0.0:
+                    if u in members and share[base + j]:
                         return False
                 low_checked = True
     return True
@@ -166,9 +167,10 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     """Greedily merge consecutive blocks into stable groups and tighten bounds.
 
     For every member u of a stable group: upper[u] shrinks to the group's
-    maximum load and lower[u] grows to its minimum load (both carry the
-    drift allowance). Tightening never widens an interval. Groups are
-    returned in the partition's descending-load order.
+    maximum exact load and lower[u] grows to its minimum. Tightening never
+    widens an interval. Groups are returned in the partition's
+    descending-load order. Raises ValueError when the bounds are not over
+    the weight state's denominator.
 
     The share conditions scan only the partition's spanning cliques that
     touch the group. That is exact: every group is a union of whole blocks,
@@ -176,6 +178,8 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     wholly inside the group, and has no outside member that could carry or
     receive weight across its boundary.
     """
+    if bounds.den != ws.den:
+        raise ValueError(f"bounds over {bounds.den}, loads over {ws.den}")
     out = bounds.copy()
     load = ws.load
     all_loads = sorted(load[v] for v in partition.order)
@@ -184,8 +188,8 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
         for v in cs.cliques[cid]:
             crossing.setdefault(v, []).append(cid)
 
-    def stable(member_set: set[int], touched: set[int], lo: float,
-               hi: float) -> bool:
+    def stable(member_set: set[int], touched: set[int], lo: int,
+               hi: int) -> bool:
         # separation first: vertices with load in [lo, hi] must be exactly
         # the members (bisect on the global sorted loads, then the weight
         # crossing scan only when that passes)
@@ -194,11 +198,11 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
             return False
         return _no_weight_crosses(touched, member_set, lo, hi, ws, cs)
 
-    sets: list[tuple[list[int], set[int], float, float]] = []
+    sets: list[tuple[list[int], set[int], int, int]] = []
     acc: list[int] = []
     acc_set: set[int] = set()
     touched: set[int] = set()  # spanning cliques with a member in acc
-    lo = hi = 0.0
+    lo = hi = 0
     for block in partition.groups:
         for v in block:
             lv = load[v]
@@ -232,12 +236,10 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     groups: list[VertexSet] = []
     for members, _, lo, hi in sets:
         candidate = tuple(sorted(members))
-        upper_val = hi + _pad(hi)
-        lower_val = lo - _pad(lo)
         for v in candidate:
-            if upper_val < out.upper[v]:
-                out.upper[v] = upper_val
-            if lower_val > out.lower[v]:
-                out.lower[v] = lower_val
+            if hi < out.upper[v]:
+                out.upper[v] = hi
+            if lo > out.lower[v]:
+                out.lower[v] = lo
         groups.append(candidate)
     return groups, out

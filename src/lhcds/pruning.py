@@ -6,14 +6,11 @@ against its neighbours' largest lower bound), and, after recomputing
 clique cores over the cliques whose members are all alive, when a vertex's
 core drops below its own lower bound (repeated to a fixed point; removing a
 vertex can only lower cores, so the fixed point is the largest vertex set on
-which every core meets its lower bound). Bounds are already rounded outward;
-each comparison still leaves one float ulp of slack toward keeping, as a
-margin: a missed removal only costs time, a wrong one breaks exactness.
+which every core meets its lower bound). Bounds are exact integer numerators
+over ``bounds.den``, so each comparison is exact and a tie keeps the vertex.
 """
 
 from __future__ import annotations
-
-import math
 
 from .cliques import Bounds, CliqueSet, clique_core_numbers
 from .cliques import enumerate_cliques  # noqa: F401  (perfbench traces it here)
@@ -22,9 +19,10 @@ from .graph import Graph, VertexSet
 from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
 
 
-def definitely_less(a: float, b: float) -> bool:
-    """True when a < b by more than one float ulp (never fires on a tie)."""
-    return a < math.nextafter(b, -math.inf)
+def definitely_less(a: int, b: int) -> bool:
+    """Exact a < b on two bound numerators over one denominator (never fires
+    on a tie). Both pruning rules compare through it."""
+    return a < b
 
 
 def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
@@ -34,11 +32,10 @@ def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
     Returns the surviving groups (empty ones removed) and the sorted tuple
     of surviving vertex ids. Idempotent for unchanged bounds.
     """
-    upper, lower = bounds.upper, bounds.lower
+    upper, lower, den = bounds.upper, bounds.lower, bounds.den
     alive = bytearray(b"\1") * g.n
     # one compare against the largest neighbouring lower bound decides the
-    # edge rule: nextafter(b, -inf) is monotone in b, so some edge fires iff
-    # the one with the largest lower[u] does
+    # edge rule: some edge fires iff the one with the largest lower[u] does
     lower_at = lower.__getitem__
     for v, nbrs in enumerate(g.adj):
         if nbrs and definitely_less(upper[v], max(map(lower_at, nbrs))):
@@ -50,7 +47,7 @@ def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
         core = clique_core_numbers(cs, alive)
         dropped = False
         for v in range(g.n):
-            if alive[v] and definitely_less(core[v], lower[v]):
+            if alive[v] and definitely_less(core[v] * den, lower[v]):
                 alive[v] = 0
                 dropped = True
         if not dropped:

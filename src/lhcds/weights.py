@@ -18,18 +18,26 @@ maps a share x to ``x * t/(t+1)``, plus ``1/(t+1)`` when picked, so
 
     x_T = (1 + h*c) / (h*(T+1)),  c = rounds that picked the position,
 
-written as the correctly rounded quotient of two integers. Triangles
-(h = 3) take an unrolled argmin step; larger cliques and pattern instances
-take the generic one. The loads are the plain per-clique float update,
-operation for operation: which member a clique tops up is decided by strict
-``<`` on those floats, so a single reordered rounding can move a tie, and
-with it the stable groups and the output.
+the sequential update of KClist++ (Sun et al., VLDB 2020). Every share is
+therefore stored exactly, as an integer numerator over the state's one
+denominator ``den = h*(T+1)*lcm(1..h-1)``. The ``lcm`` factor lets the
+tentative decomposition split a clique's weight equally among any 1 to h-1
+of its members by exact integer division.
+
+The loads that steer the iteration are the only floats: the plain
+per-clique float update, operation for operation. Which member a clique
+tops up is decided by strict ``<`` on them, so a single reordered rounding
+can move a tie, and with it the stable groups and the output; integer
+steering waits until the output's tie order no longer depends on them.
+Triangles (h = 3) take an unrolled argmin step; larger cliques and pattern
+instances take the generic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
 
 from .cliques import CliqueSet
 
@@ -38,39 +46,41 @@ from .cliques import CliqueSet
 class WeightState:
     """Weight shares per (clique, position) and per-vertex totals.
 
-    ``share[cid*h + i]`` is the share of ``cs.cliques[cid][i]``: one flat
-    list, clique after clique in id order. ``picks[i][cid]`` counts the
-    rounds that topped that share up: one list per position, indexed by
-    clique id. ``picks`` is None once ``tentative_decomposition`` has
-    reassigned the shares, as the counts no longer describe them.
+    ``share[cid*h + i]`` is the share of ``cs.cliques[cid][i]`` as an
+    integer numerator over ``den``: one flat list, clique after clique in id
+    order. Each clique's shares sum to exactly ``den``. ``picks[i][cid]``
+    counts the rounds that topped that share up: one list per position,
+    indexed by clique id. ``picks`` is None once ``tentative_decomposition``
+    has reassigned the shares, as the counts no longer describe them.
 
-    Invariants (up to float drift, checked in tests at 1e-9):
-    each clique's shares sum to 1; ``load[u]`` equals the sum of u's shares;
-    the loads sum to the clique count. Both hold by construction (each share
-    is its exact value rounded once, each load a scale-and-add update),
-    never by renormalizing.
+    ``load[u]`` is u's float steering load while the iteration runs, within
+    float round-off of u's shares over ``den``. The decomposition replaces
+    the loads by the exact integer sums of the shares, which then total the
+    clique count times ``den``.
     """
 
     cs: CliqueSet
-    share: list[float]
-    load: list[float]
+    share: list[int]
+    load: list[float] | list[int]
     picks: list[list[int]] | None
+    den: int
     rounds_done: int = 0
 
     def copy(self) -> "WeightState":
         picks = None if self.picks is None else [p[:] for p in self.picks]
         return WeightState(cs=self.cs, share=self.share[:], load=self.load[:],
-                           picks=picks, rounds_done=self.rounds_done)
+                           picks=picks, den=self.den,
+                           rounds_done=self.rounds_done)
 
 
 def init_weights(cs: CliqueSet) -> WeightState:
     """Uniform start: every share is 1/h, so load(u) = degree(u)/h."""
     h = cs.h
     m = len(cs.cliques)
-    share = [1.0 / h] * (h * m)
+    scale = lcm(*range(1, h))
     load = [d / h for d in cs.degree]
-    return WeightState(cs=cs, share=share, load=load,
-                       picks=[[0] * m for _ in range(h)])
+    return WeightState(cs=cs, share=[scale] * (h * m), load=load,
+                       picks=[[0] * m for _ in range(h)], den=h * scale)
 
 
 def run_iterations(ws: WeightState, rounds: int) -> WeightState:
@@ -80,7 +90,8 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     then walks cliques in id order adding 1/(t+1) to the load of each
     clique's minimum-load member. Ties pick the smallest vertex id (member
     tuples are sorted). T=0 is the identity. ``ws.load`` and ``ws.share``
-    are replaced by new lists, so earlier references to them go stale.
+    are replaced by new lists, so earlier references to them go stale, and
+    ``ws.den`` becomes h*(T+1)*lcm(1..h-1) for the T rounds done in all.
 
     Raises ValueError for negative ``rounds`` and for a state whose shares
     ``tentative_decomposition`` has reassigned.
@@ -132,16 +143,18 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                         best_pos = i
                 load[members[best_pos]] = best + gamma
                 picks[best_pos][cid] += 1
-    # one float object per distinct count, shared by every equal share
-    den = h * (last + 1)
-    value = [(1 + h * c) / den for c in range(last + 1)]
+    # one int object per distinct count, shared by every equal share
+    scale = lcm(*range(1, h))
+    value = [(1 + h * c) * scale for c in range(last + 1)]
     ws.share = list(map(value.__getitem__,
                         chain.from_iterable(zip(*picks))))
+    ws.den = h * (last + 1) * scale
     ws.load = load
     ws.rounds_done = last
     return ws
 
 
 def objective(ws: WeightState) -> float:
-    """Sum of squared per-vertex loads, the quantity the iteration minimizes."""
+    """Sum of squared per-vertex loads, the quantity the iteration minimizes.
+    After ``tentative_decomposition`` the loads are numerators over den."""
     return sum(x * x for x in ws.load)

@@ -9,9 +9,9 @@ from heapq import heappop, heappush
 from itertools import combinations, permutations
 
 from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
-                   definitely_less, parse_edge_list, restrict_cliques)
+                   parse_edge_list, restrict_cliques)
 from lhcds.cliques import _index_cliques
-from lhcds.proposal import _pad, _share_conditions_ok
+from lhcds.proposal import _share_conditions_ok
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -202,7 +202,8 @@ def run_iterations_eager(ws, rounds: int):
     ``run_iterations`` must match these float loads bit for bit. Shares are
     exact: each is multiplied by t/(t+1), and the picked one gains 1/(t+1),
     all in ``Fraction``s, starting from exactly 1/h when ``ws`` comes from
-    ``init_weights``. ``run_iterations`` must hold ``float()`` of them.
+    ``init_weights``. ``run_iterations`` must hold them as numerators over
+    its ``den``.
     """
     cliques = ws.cs.cliques
     h = ws.cs.h
@@ -233,10 +234,19 @@ def run_iterations_eager(ws, rounds: int):
     return ws
 
 
-def share_rows(ws) -> list[list[float]]:
+def share_rows(ws) -> list[list[int]]:
     """The flat share list cut into one row per clique."""
     h = ws.cs.h
     return [ws.share[i:i + h] for i in range(0, len(ws.share), h)]
+
+
+def share_sums(ws) -> list[int]:
+    """Each vertex's shares summed: its exact load over ``ws.den``."""
+    load = [0] * len(ws.cs.degree)
+    for members, row in zip(ws.cs.cliques, share_rows(ws)):
+        for v, x in zip(members, row):
+            load[v] += x
+    return load
 
 
 def core_bruteforce(n: int, cliques) -> list[int]:
@@ -269,14 +279,13 @@ def prune_rebuild(g: Graph, candidates, bounds, cs):
     cores from scratch. Returns the kept groups and the surviving ids."""
     alive = [True] * g.n
     for v in range(g.n):
-        if any(definitely_less(bounds.upper[v], bounds.lower[u])
-               for u in g.adj[v]):
+        if any(bounds.upper[v] < bounds.lower[u] for u in g.adj[v]):
             alive[v] = False
     while True:
         survivors = [v for v in range(g.n) if alive[v]]
         core = clique_core_numbers(restrict_cliques(cs, survivors))
         dropped = [v for i, v in enumerate(survivors)
-                   if definitely_less(core[i], bounds.lower[v])]
+                   if core[i] < Fraction(bounds.lower[v], bounds.den)]
         if not dropped:
             break
         for v in dropped:
@@ -289,10 +298,13 @@ def prune_rebuild(g: Graph, candidates, bounds, cs):
     return kept, tuple(v for v in range(g.n) if alive[v])
 
 
-def exact_bounds(core, h: int) -> Bounds:
-    """Core-seeded bounds as exact rationals: upper = core, lower = core/h."""
-    return Bounds(upper=[Fraction(c) for c in core],
-                  lower=[Fraction(c, h) for c in core])
+def exact_bounds(core, h: int, den: int) -> Bounds:
+    """Core-seeded bounds from exact rationals: upper = core and lower =
+    core/h, each times ``den``, which h must divide."""
+    lower = [Fraction(c, h) * den for c in core]
+    assert all(x.denominator == 1 for x in lower)
+    return Bounds(upper=[c * den for c in core],
+                  lower=[int(x) for x in lower], den=den)
 
 
 def is_stable_group(candidate, partition, ws, cs) -> bool:
@@ -301,8 +313,8 @@ def is_stable_group(candidate, partition, ws, cs) -> bool:
     (1) every outside vertex's load lies strictly above the candidate's
     maximum or strictly below its minimum; (2)/(3) every clique joining the
     candidate to a heavier (lighter) vertex carries share exactly 0 on the
-    heavy (candidate) side. Share comparisons are exact: reassignment writes
-    exact zeros and the iteration itself never does.
+    heavy (candidate) side. Loads and shares are exact integers over
+    ``ws.den`` once ``tentative_decomposition`` has run.
     """
     members = set(candidate)
     if not members:
@@ -341,8 +353,8 @@ def stable_groups_reference(partition, ws, cs, bounds):
         lo = min(ws.load[v] for v in members)
         hi = max(ws.load[v] for v in members)
         for v in members:
-            out.upper[v] = min(out.upper[v], hi + _pad(hi))
-            out.lower[v] = max(out.lower[v], lo - _pad(lo))
+            out.upper[v] = min(out.upper[v], hi)
+            out.lower[v] = max(out.lower[v], lo)
         groups.append(tuple(sorted(members)))
     return groups, out
 

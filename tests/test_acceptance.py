@@ -63,7 +63,8 @@ def suite() -> SuiteOutcome:
             out.verify_calls += stats.verify_calls
             for ev in events:
                 for u in range(g.n):
-                    if not (ev.lower[u] <= phi[u] <= ev.upper[u]):
+                    # exact: the bounds are numerators over ev.den
+                    if not (ev.lower[u] <= phi[u] * ev.den <= ev.upper[u]):
                         out.bound_violations += 1
                 for v in ev.pruned:
                     if v in member_union:

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from lhcds import (PATTERN_NAMES, Graph, clique_core_numbers,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
-                   initialize_bounds, oracle_compact_numbers, restrict_cliques)
+                   init_weights, initialize_bounds, oracle_compact_numbers,
+                   restrict_cliques)
 from helpers import (core_bruteforce, enumerate_cliques_reference, gnp, k_n,
                      path_n, planted, triangle, two_k4_bridge_edge)
 
@@ -174,17 +174,17 @@ def test_core_at_most_degree():
 
 
 def test_initialize_bounds():
-    # upper = core exactly; lower = the largest float at or below core/h
+    # integer numerators over den: upper = core and lower = core/h exactly,
+    # on the weight state's denominators and on any multiple of h
     core = list(range(2001))
     for h in range(2, 7):
-        b = initialize_bounds(core, h)
-        for c, upper, lower in zip(core, b.upper, b.lower):
-            exact = Fraction(c, h)
-            assert type(upper) is float and type(lower) is float
-            assert upper == c
-            assert Fraction(lower) <= exact
-            assert Fraction(lower) == exact or \
-                math.nextafter(lower, math.inf) > exact
+        for den in (h, init_weights(enumerate_cliques(k_n(h), h)).den, 126 * h):
+            b = initialize_bounds(core, h, den)
+            assert b.den == den
+            for c, upper, lower in zip(core, b.upper, b.lower):
+                assert type(upper) is int and type(lower) is int
+                assert Fraction(upper, den) == c
+                assert Fraction(lower, den) == Fraction(c, h)
 
 
 def test_bounds_sandwich_true_compact_numbers():
@@ -193,10 +193,10 @@ def test_bounds_sandwich_true_compact_numbers():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            b = initialize_bounds(clique_core_numbers(cs), h)
+            b = initialize_bounds(clique_core_numbers(cs), h, h)
             phi = oracle_compact_numbers(g, h)
             for v in range(g.n):
-                assert b.lower[v] <= phi[v] <= b.upper[v]
+                assert b.lower[v] <= phi[v] * h <= b.upper[v]
 
 
 def test_core_vertices_retain_core_degree():

@@ -206,35 +206,27 @@ def test_verifiers_reject_out_of_range_ids(s):
 
 def _tight_bounds(g, h):
     cs = enumerate_cliques(g, h)
-    return cs, initialize_bounds(clique_core_numbers(cs), h)
+    return cs, initialize_bounds(clique_core_numbers(cs), h, h)
 
 
-def _assert_brackets(rho):
-    dead_at, hot_at = flow_mod._float_bracket(rho)
-    x = float(rho)
-    near = [x]
-    for direction in (-math.inf, math.inf):
-        y = x
-        for _ in range(2):
-            y = math.nextafter(y, direction)
-            near.append(y)
-    for x in near + [dead_at, hot_at]:
-        assert (x <= dead_at) == (x < rho)
-        assert (x >= hot_at) == (x > rho)
+def _exact_bounds(phi):
+    # the compact numbers as both bounds, over the lcm of their denominators
+    den = math.lcm(*(p.denominator for p in phi))
+    nums = [int(p * den) for p in phi]
+    return Bounds(upper=nums, lower=nums[:], den=den)
 
 
-@pytest.mark.parametrize("rho", [
-    Fraction(0), Fraction(1, 2), Fraction(3),       # floats exactly
-    Fraction(1, 3), Fraction(13, 6),                # between two floats
-    Fraction(10**30 + 1, 7),
-])
-def test_float_bracket(rho):
-    _assert_brackets(rho)
-
-
-@given(st.fractions(min_value=0, max_value=10**9))
-def test_float_bracket_any_rho(rho):
-    _assert_brackets(rho)
+@settings(max_examples=300)
+@given(st.integers(0, 10**12), st.integers(1, 10**6), st.integers(1, 10**6),
+       st.integers(-3, 3), st.integers(0, 10**18))
+def test_thresholds_are_exact_compares(num, size, den, near, anywhere):
+    # for rho = num/size and a bound x/den: x <= dead_at iff x/den < rho,
+    # and x >= hot_at iff x/den > rho, at and around the boundary and far
+    # from it
+    dead_at, hot_at = flow_mod._thresholds(num, size, den)
+    for x in (num * den // size + near, dead_at, hot_at, anywhere):
+        assert (x <= dead_at) == (x * size < num * den)
+        assert (x >= hot_at) == (x * size > num * den)
 
 
 @pytest.mark.parametrize("g", [
@@ -249,7 +241,7 @@ def test_verify_fast_bound_at_rho_extends(g):
     cs = enumerate_cliques(g, 3)
     phi = oracle_compact_numbers(g, 3)
     assert set(phi) == {1}
-    bounds = Bounds(upper=[float(p) for p in phi], lower=[float(p) for p in phi])
+    bounds = _exact_bounds(phi)
     assert not verify_basic(g, cs, (0, 1, 2, 3))
     assert not verify_fast(g, cs, (0, 1, 2, 3), bounds)
 
@@ -268,7 +260,7 @@ def test_verify_fast_border_clique_with_member_at_rho():
     cs = enumerate_cliques(g, 3)
     phi = oracle_compact_numbers(g, 3)
     assert phi == [1] * 5 + [2] * 5 + [1]
-    bounds = Bounds(upper=[float(p) for p in phi], lower=[float(p) for p in phi])
+    bounds = _exact_bounds(phi)
     assert not verify_basic(g, cs, (0, 1, 2, 3))
     assert not verify_fast(g, cs, (0, 1, 2, 3), bounds)
 
@@ -311,7 +303,7 @@ def test_verify_fast_counts_the_flow_path():
     # does not close the walk and the flow decides
     g = two_k4_bridge_vertex()
     cs = enumerate_cliques(g, 3)
-    bounds = Bounds(upper=[1.0] * 9, lower=[0.0] * 9)
+    bounds = Bounds(upper=[1] * 9, lower=[0] * 9, den=1)
     paths = Counter()
     assert verify_fast(g, cs, (0, 1, 2, 3), bounds, paths=paths) == \
         verify_basic(g, cs, (0, 1, 2, 3))
@@ -325,8 +317,9 @@ def test_interior_members_skip_only_when_safe():
     s = (0, 1, 2, 3)
     degrees = cs.degrees_within(s)
     assert degrees == [3, 3, 3, 3] and cs.degree[3] == 4
-    _, hot_at = flow_mod._float_bracket(Fraction(1))
-    lower = [1.0] * 6
+    den = 6
+    _, hot_at = flow_mod._thresholds(4, 4, den)
+    lower = [den] * 6
     no_output = [False] * 6
 
     def interior(lower, output):
@@ -335,7 +328,7 @@ def test_interior_members_skip_only_when_safe():
 
     # 3 has a boundary clique, so its cliques are walked
     assert interior(lower, no_output) == {0, 1, 2}
-    # a hot member (lower bound the smallest float above rho) or an output
+    # a hot member (lower bound one step of 1/den above rho) or an output
     # member can change how a clique inside s is counted: skip nothing
     hot = lower[:]
     hot[1] = hot_at
@@ -394,7 +387,7 @@ def test_fast_equals_basic_on_self_densest_candidates():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            bounds = initialize_bounds(clique_core_numbers(cs), h)
+            bounds = initialize_bounds(clique_core_numbers(cs), h, h)
             # sample connected candidate sets; keep the self-densest ones
             for comp in connected_components(g):
                 for _ in range(4):

@@ -13,7 +13,8 @@ driver's proposal, pruning and verification:
 
 The reference is checked against the brute-force oracle on tiny graphs and
 then compared with ``emit_all``, and with top-k queries, on seeded planted
-graphs of 30-300 vertices.
+graphs of 30-300 vertices. Its compact numbers also check the driver's
+bounds there, exactly.
 """
 
 import random
@@ -25,9 +26,10 @@ import pytest
 
 from lhcds import flow, pipeline
 from lhcds import (PipelineConfig, RunStats, connected_components,
-                   derive_compact, enumerate_cliques, induced_subgraph,
-                   ippv, is_densest, oracle_compact_numbers, oracle_lhcds,
-                   restrict_cliques, verify_basic)
+                   derive_compact, enumerate_cliques, enumerate_patterns,
+                   induced_subgraph, ippv, ippv_pattern, is_densest,
+                   oracle_compact_numbers, oracle_lhcds, restrict_cliques,
+                   verify_basic)
 from lhcds.flow import denser_part
 from helpers import gnp, planted
 
@@ -119,6 +121,29 @@ def _planted_case(seed):
     blocks = max(1, n // 25)
     return planted(seed, n=n, m=blocks * 17 + n, blocks=blocks, size_lo=5,
                    size_hi=9, p=0.8), rng.choice([2, 3, 4])
+
+
+@pytest.mark.time_limit(20)  # each case took 0.02-1.8 s when measured
+@pytest.mark.parametrize("seed, mode", [
+    *((seed, h) for h in (3, 4) for seed in range(1, 9)),
+    *((seed, "diamond") for seed in range(1, 4))])
+def test_bounds_hold_compact_numbers_exactly(seed, mode):
+    # the propose and prune pass's bounds against the reference's compact
+    # numbers, on 150-vertex graphs past the oracle's cap, with no tolerance
+    g = planted(seed, n=150, m=600, blocks=6, size_lo=5, size_hi=12, p=0.7)
+    events = []
+    cfg = PipelineConfig(h=3 if mode == "diamond" else mode, k=1)
+    if mode == "diamond":
+        ippv_pattern(g, mode, cfg, on_round=events.append)
+        cs = enumerate_patterns(g, mode)
+    else:
+        ippv(g, cfg, on_round=events.append)
+        cs = enumerate_cliques(g, mode)
+    phi = _compact_numbers(g, cs)
+    (ev,) = events
+    for v in range(g.n):
+        assert Fraction(ev.lower[v], ev.den) <= phi[v] <= \
+            Fraction(ev.upper[v], ev.den)
 
 
 @pytest.mark.time_limit(10)  # each case took under 1 s when measured

@@ -8,17 +8,22 @@ from lhcds import (Graph, enumerate_cliques, enumerate_patterns, init_weights,
                    derive_stable_groups, run_iterations,
                    tentative_decomposition)
 from helpers import (clique_edges, gnp, is_stable_group, k_n, planted,
-                     share_rows, stable_groups_reference, triangle,
-                     two_k4_bridge_vertex)
+                     share_rows, share_sums, stable_groups_reference,
+                     triangle, two_k4_bridge_vertex)
 
 
 def _propose(g, h, rounds):
     cs = enumerate_cliques(g, h)
     ws = run_iterations(init_weights(cs), rounds)
     partition = tentative_decomposition(cs, ws)
-    bounds = initialize_bounds(clique_core_numbers(cs), h)
+    bounds = initialize_bounds(clique_core_numbers(cs), h, ws.den)
     groups, bounds = derive_stable_groups(partition, ws, cs, bounds)
     return cs, ws, partition, groups, bounds
+
+
+def _interval(bounds, v):
+    return Fraction(bounds.lower[v], bounds.den), \
+        Fraction(bounds.upper[v], bounds.den)
 
 
 def test_triangle_single_group_bounds_pin_third():
@@ -29,9 +34,9 @@ def test_triangle_single_group_bounds_pin_third():
     assert groups == [(0, 1, 2)]
     third = Fraction(1, 3)
     for v in range(3):
-        assert bounds.lower[v] <= third <= bounds.upper[v]
-        assert abs(float(bounds.upper[v]) - 1 / 3) < 1e-3
-        assert abs(float(bounds.lower[v]) - 1 / 3) < 1e-3
+        lower, upper = _interval(bounds, v)
+        assert lower <= third <= upper
+        assert upper - lower < Fraction(1, 1000)
 
 
 def test_two_plateaus_two_groups():
@@ -41,10 +46,9 @@ def test_two_plateaus_two_groups():
     assert groups == [(0, 1, 2, 3, 4), (5, 6, 7, 8)]
     assert min(ws.load[v] for v in groups[0]) > \
         max(ws.load[v] for v in groups[1])
-    for v in range(5):
-        assert bounds.lower[v] <= Fraction(2) <= bounds.upper[v]
-    for v in range(5, 9):
-        assert bounds.lower[v] <= Fraction(1) <= bounds.upper[v]
+    for v in range(9):
+        lower, upper = _interval(bounds, v)
+        assert lower <= (2 if v < 5 else 1) <= upper
 
 
 def test_bridge_vertex_separated():
@@ -60,7 +64,7 @@ def test_partition_blocks_cover_and_order():
         g = gnp(rng, rng.randint(3, 9), 0.5)
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 20)
-        sort_load = list(ws.load)
+        sort_load = share_sums(ws)  # the exact loads the sort reads
         partition = tentative_decomposition(cs, ws)
         flat = [v for grp in partition.groups for v in grp]
         assert sorted(flat) == list(range(g.n))
@@ -71,15 +75,19 @@ def test_partition_blocks_cover_and_order():
 
 
 def test_reassignment_conserves_mass():
+    # exact: every clique keeps den, and each load is the sum of its shares
     rng = random.Random(77)
     for _ in range(25):
         g = gnp(rng, rng.randint(4, 9), 0.6)
-        cs = enumerate_cliques(g, 3)
-        ws = run_iterations(init_weights(cs), 7)
-        tentative_decomposition(cs, ws)
-        for row in share_rows(ws):
-            assert abs(sum(row) - 1.0) <= 1e-9
-            assert all(x >= 0.0 for x in row)
+        for h in (3, 4):
+            cs = enumerate_cliques(g, h)
+            ws = run_iterations(init_weights(cs), 7)
+            tentative_decomposition(cs, ws)
+            for row in share_rows(ws):
+                assert sum(row) == ws.den
+                assert all(x >= 0 for x in row)
+            assert ws.load == share_sums(ws)
+            assert sum(ws.load) == len(cs.cliques) * ws.den
 
 
 def test_whole_set_always_stable():
@@ -116,7 +124,7 @@ def test_derived_groups_disjoint_and_stable():
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 20)
         partition = tentative_decomposition(cs, ws)
-        bounds = initialize_bounds(clique_core_numbers(cs), 3)
+        bounds = initialize_bounds(clique_core_numbers(cs), 3, ws.den)
         groups, tightened = derive_stable_groups(partition, ws, cs, bounds)
         seen = set()
         for grp in groups:
@@ -127,7 +135,7 @@ def test_derived_groups_disjoint_and_stable():
         for v in range(g.n):
             assert tightened.upper[v] <= bounds.upper[v]
             assert tightened.lower[v] >= bounds.lower[v]
-            assert tightened.lower[v] <= tightened.upper[v] + 1e-12
+            assert tightened.lower[v] <= tightened.upper[v]
 
 
 def _seeded_clique_sets(mode):
@@ -164,15 +172,22 @@ def test_spanning_lists_cliques_across_blocks(mode):
 @pytest.mark.parametrize("mode", ["h3", "h4", "diamond"])
 def test_stable_groups_match_full_incidence_scan(mode):
     # scanning only the spanning cliques that touch a group gives the same
-    # groups, and bit for bit the same bounds, as scanning every clique
-    # incident to it
+    # groups, and exactly the same bounds, as scanning every clique incident
+    # to it
     for cs, ws in _seeded_clique_sets(mode):
         partition = tentative_decomposition(cs, ws)
-        bounds = initialize_bounds(clique_core_numbers(cs), cs.h)
+        bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
         groups, got = derive_stable_groups(partition, ws, cs, bounds)
         want_groups, want = stable_groups_reference(partition, ws, cs, bounds)
         assert groups == want_groups
-        assert list(map(float.hex, got.upper)) == \
-            list(map(float.hex, want.upper))
-        assert list(map(float.hex, got.lower)) == \
-            list(map(float.hex, want.lower))
+        assert got == want
+
+
+def test_stable_groups_reject_another_denominator():
+    g = k_n(5)
+    cs = enumerate_cliques(g, 3)
+    ws = run_iterations(init_weights(cs), 5)
+    partition = tentative_decomposition(cs, ws)
+    bounds = initialize_bounds(clique_core_numbers(cs), 3, 3 * ws.den)
+    with pytest.raises(ValueError, match="bounds over"):
+        derive_stable_groups(partition, ws, cs, bounds)

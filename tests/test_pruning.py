@@ -1,9 +1,9 @@
-import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from lhcds import (Bounds, Graph, clique_core_numbers, definitely_less,
+from lhcds import (Bounds, Graph, clique_core_numbers,
                    derive_stable_groups, enumerate_cliques, induced_subgraph,
                    init_weights, initialize_bounds, prune, run_iterations,
                    tentative_decomposition)
@@ -11,15 +11,20 @@ from helpers import (clique_edges, exact_bounds, gnp, k_n, planted,
                      prune_rebuild)
 
 
-def _bounds(n, upper, lower):
-    return Bounds(upper=[float(x) for x in upper],
-                  lower=[float(x) for x in lower])
+def _bounds(upper, lower, den=4):
+    # the given rationals as integer numerators over den
+    def num(x):
+        y = Fraction(x) * den
+        assert y.denominator == 1
+        return int(y)
+    return Bounds(upper=list(map(num, upper)), lower=list(map(num, lower)),
+                  den=den)
 
 
 def test_edge_rule_removes_dominated_vertex():
     # pendant 4 sits below vertex 0's lower bound across the edge (0, 4)
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4)])
-    b = _bounds(5, upper=[3, 3, 3, 3, 0.5], lower=[1, 1, 1, 1, 0.25])
+    b = _bounds(upper=[3, 3, 3, 3, 0.5], lower=[1, 1, 1, 1, 0.25])
     kept, surviving = prune(g, [(0, 1, 2, 3, 4)], b, enumerate_cliques(g, 3))
     assert surviving == (0, 1, 2, 3)
     assert kept == [(0, 1, 2, 3)]
@@ -32,7 +37,7 @@ def _cascade_fixture():
     edges = clique_edges(range(8)) + \
         [(8, 9), (9, 10), (10, 11), (8, 11), (9, 11), (0, 9), (1, 11)]
     g = Graph.from_edges(12, edges)
-    return g, _bounds(12, upper=[21] * 8 + [1, 0.5, 1, 0.5],
+    return g, _bounds(upper=[21] * 8 + [1, 0.5, 1, 0.5],
                       lower=[2] * 8 + [0.5] * 4)
 
 
@@ -52,7 +57,7 @@ def test_cascade_reaches_fixed_point():
     edges = clique_edges(range(4)) + [(cycle[i], cycle[(i + 1) % 6])
                                       for i in range(6)]
     g = Graph.from_edges(9, edges)
-    b = _bounds(9, upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
+    b = _bounds(upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
     cs = enumerate_cliques(g, 2)
     kept, surviving = prune(g, [tuple(range(9))], b, cs)
     assert surviving == () and kept == []
@@ -62,32 +67,30 @@ def test_cascade_reaches_fixed_point():
 def test_uniform_graph_untouched():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
-    b = _bounds(5, upper=[6] * 5, lower=[2] * 5)
+    b = _bounds(upper=[6] * 5, lower=[2] * 5)
     kept, surviving = prune(g, [tuple(range(5))], b, cs)
     assert surviving == tuple(range(5))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_edge_rule_matches_per_edge_compares_at_ulp_ties(seed):
-    # every bound lies within two ulps of one shared value, so across many
-    # edges the rule's one-ulp margin decides; comparing each vertex once
+    # every bound is one shared value or one unit in the last place of a
+    # numerator (one step of 1/den) away from it, so across many edges the
+    # exact tie decides; comparing each vertex once
     # with its neighbours' largest lower bound drops what one compare per
     # edge drops
     rng = random.Random(seed)
     g = gnp(rng, 40, 0.15)
-    x = rng.choice([0.1, 1 / 3, 1.0, 2.0])
+    den = rng.choice([6, 126, 504])
+    x = rng.choice([1, den // 3, den, 2 * den])
 
     def near():
-        y = x
-        for _ in range(rng.randint(0, 2)):
-            y = math.nextafter(y, rng.choice([-math.inf, math.inf]))
-        return y
+        return x + rng.randint(-1, 1)
 
     b = Bounds(upper=[near() for _ in range(g.n)],
-               lower=[near() for _ in range(g.n)])
+               lower=[near() for _ in range(g.n)], den=den)
     per_edge = {v for v in range(g.n)
-                if any(definitely_less(b.upper[v], b.lower[u])
-                       for u in g.adj[v])}
+                if any(b.upper[v] < b.lower[u] for u in g.adj[v])}
     assert 0 < len(per_edge) < g.n
     cs = enumerate_cliques(g, 2)
     kept, surviving = prune(g, [tuple(range(g.n))], b, cs)
@@ -100,27 +103,45 @@ def test_idempotent():
     kept, surviving = prune(g, [tuple(range(12))], b, enumerate_cliques(g, 3))
     g2 = induced_subgraph(g, surviving)
     b2 = Bounds(upper=[b.upper[v] for v in surviving],
-                lower=[b.lower[v] for v in surviving])
+                lower=[b.lower[v] for v in surviving], den=b.den)
     kept2, surviving2 = prune(g2, [tuple(range(g2.n))], b2,
                               enumerate_cliques(g2, 3))
     assert surviving2 == tuple(range(g2.n))
 
 
 def test_near_tie_not_pruned():
-    # equal bounds across an edge must not fire the removal rule, and
-    # matching cores survive the cascade
-    g = Graph.from_edges(2, [(0, 1)])
-    b = _bounds(2, upper=[1, 1], lower=[1, 1])
-    kept, surviving = prune(g, [(0, 1)], b, enumerate_cliques(g, 2))
-    assert surviving == (0, 1)
+    # pendant 0 on the K4 {1..4}, at h=2: an upper bound equal to its
+    # neighbour's lower bound keeps 0; one step of 1/den below it drops 0
+    g = Graph.from_edges(5, [(0, 1)] + clique_edges(range(1, 5)))
+    cs = enumerate_cliques(g, 2)
+    everyone = [tuple(range(5))]
+    for den in (1, 6, 504):
+        for step, want in ((0, (0, 1, 2, 3, 4)), (1, (1, 2, 3, 4))):
+            b = Bounds(upper=[den - step] + [3 * den] * 4,
+                       lower=[0, den, 0, 0, 0], den=den)
+            kept, surviving = prune(g, everyone, b, cs)
+            assert surviving == want
+            assert prune_rebuild(g, everyone, b, cs) == (kept, surviving)
+
+
+def test_core_cascade_compares_core_times_den():
+    # each K3 vertex has core 1: a lower bound of exactly den keeps it, one
+    # step above drops it (and with it the rest of the triangle)
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    cs = enumerate_cliques(g, 3)
+    den = 126
+    for step, want in ((0, (0, 1, 2)), (1, ())):
+        b = Bounds(upper=[5 * den] * 3, lower=[den, den, den + step], den=den)
+        assert prune(g, [(0, 1, 2)], b, cs)[1] == want
+        assert prune_rebuild(g, [(0, 1, 2)], b, cs)[1] == want
 
 
 @pytest.mark.time_limit(10)  # each case took under 1 s when measured
 @pytest.mark.parametrize("seed", range(20))
 def test_prune_matches_rebuild_cascade(seed):
     # a 30-300-vertex planted graph, pruned with the groups and bounds of a
-    # whole-graph propose round, as the driver's first round does; the same
-    # groups, tightened from exact rational core bounds, prune the same way
+    # whole-graph propose round, as the driver's first round does; core
+    # bounds seeded from exact rationals give the same groups and bounds
     rng = random.Random(seed)
     n = rng.randint(30, 300)
     blocks = max(1, n // 25)
@@ -132,12 +153,11 @@ def test_prune_matches_rebuild_cascade(seed):
     ws = run_iterations(init_weights(cs), 20)
     partition = tentative_decomposition(cs, ws)
     groups, local = derive_stable_groups(partition, ws, cs,
-                                         initialize_bounds(core, h))
+                                         initialize_bounds(core, h, ws.den))
     kept, surviving = prune(g, groups, local, cs)
     want_kept, want_surviving = prune_rebuild(g, groups, local, cs)
     assert surviving == want_surviving
     assert kept == want_kept
-    exact_groups, exact_local = derive_stable_groups(partition, ws, cs,
-                                                     exact_bounds(core, h))
-    assert exact_groups == groups
-    assert prune(g, groups, exact_local, cs) == (kept, surviving)
+    exact_groups, exact_local = derive_stable_groups(
+        partition, ws, cs, exact_bounds(core, h, ws.den))
+    assert (exact_groups, exact_local) == (groups, local)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,26 @@ from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
                    oracle_compact_numbers, run_iterations,
                    tentative_decomposition)
 from helpers import (gnp, k_n, planted, run_iterations_eager, share_rows,
-                     triangle)
+                     share_sums, triangle)
 
 
 def test_init_triangle():
     ws = init_weights(enumerate_cliques(triangle(), 3))
-    assert share_rows(ws) == [[pytest.approx(1 / 3)] * 3]
+    assert ws.den == 6  # h * lcm(1, 2)
+    assert [Fraction(x, ws.den) for x in ws.share] == [Fraction(1, 3)] * 3
     assert ws.load == [pytest.approx(1 / 3)] * 3
+
+
+@pytest.mark.parametrize("h, rounds, den", [
+    (2, 0, 2), (2, 5, 12), (3, 20, 126), (4, 20, 504), (5, 3, 240)])
+def test_den_is_h_rounds_and_lcm(h, rounds, den):
+    # den = h * (T+1) * lcm(1..h-1), whichever way the rounds are split
+    cs = enumerate_cliques(k_n(6), h)
+    assert run_iterations(init_weights(cs), rounds).den == den
+    ws = init_weights(cs)
+    for _ in range(rounds):
+        run_iterations(ws, 1)
+    assert ws.den == den
 
 
 def test_init_k4():
@@ -68,17 +82,20 @@ def test_objective_settles_below_start():
 @given(st.integers(0, 500), st.integers(3, 9), st.sampled_from([2, 3]),
        st.integers(0, 40))
 def test_simplex_preserved_per_clique(seed, n, h, rounds):
+    # exact invariants, no tolerance: after the iteration every clique's
+    # integer shares sum to den; after the decomposition they still do, each
+    # load is the sum of its shares and the loads sum to m * den
     g = gnp(random.Random(seed), n, 0.6)
     cs = enumerate_cliques(g, h)
     ws = run_iterations(init_weights(cs), rounds)
-    for row in share_rows(ws):
-        assert abs(sum(row) - 1.0) <= 1e-9
-        assert all(x >= 0.0 for x in row)
-    for v in range(n):
-        total = sum(ws.share[c * h + ws.cs.cliques[c].index(v)]
-                    for c in cs.incidence[v])
-        assert abs(ws.load[v] - total) <= 1e-9 * max(1, cs.degree[v])
-    assert abs(sum(ws.load) - len(cs.cliques)) <= 1e-9 * max(1, len(cs.cliques))
+    for decomposed in (False, True):
+        if decomposed:
+            tentative_decomposition(cs, ws)
+        for row in share_rows(ws):
+            assert sum(row) == ws.den
+            assert all(type(x) is int and x >= 0 for x in row)
+    assert ws.load == share_sums(ws)
+    assert sum(ws.load) == len(cs.cliques) * ws.den
 
 
 def test_long_run_approaches_compact_numbers():
@@ -95,9 +112,9 @@ def _instances(g, kind):
 
 
 def _assert_same_bits(ws, ref):
-    # loads bit for bit; shares as the correctly rounded exact shares
+    # loads bit for bit; shares as the exact shares' numerators over den
     assert ws.load == ref.load
-    assert ws.share == [float(x) for x in ref.share]
+    assert ws.share == [x * ws.den for x in ref.share]
     assert ws.rounds_done == ref.rounds_done
 
 
@@ -160,7 +177,7 @@ def test_decomposed_state_cannot_resume():
     cs = enumerate_cliques(g, 3)
     ws = run_iterations(init_weights(cs), 20)
     tentative_decomposition(cs, ws)
-    assert 0.0 in ws.share
+    assert 0 in ws.share
     share, load = ws.share[:], ws.load[:]
     for rounds in (0, 1):
         with pytest.raises(ValueError, match="decomposition"):
