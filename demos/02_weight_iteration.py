@@ -21,14 +21,12 @@ phi = oracle_compact_numbers(g, 3)
 print(f"{g.n} vertices, {len(cs.cliques)} triangles")
 print("exact compact numbers:", [str(x) for x in phi])
 
-ws = init_weights(cs)
 print(f"\n{'rounds':>7} {'objective':>10}  loads")
-done = 0
-for target in (0, 1, 5, 20, 100, 1000, 10000):
-    run_iterations(ws, target - done)
-    done = target
-    loads = " ".join(f"{x:6.3f}" for x in ws.load)
-    print(f"{target:>7} {objective(ws):>10.4f}  {loads}")
+for rounds in (0, 1, 5, 20, 100, 1000, 10000):
+    ws = run_iterations(init_weights(cs), rounds)
+    loads = [x / ws.den for x in ws.load]
+    print(f"{rounds:>7} {objective(ws):>10.4f}  "
+          + " ".join(f"{x:6.3f}" for x in loads))
 
-worst = max(abs(ws.load[v] - float(phi[v])) for v in range(g.n))
-print(f"\nlargest deviation from the exact values after {done} rounds: {worst:.5f}")
+worst = max(abs(x - float(phi[v])) for v, x in enumerate(loads))
+print(f"\nlargest deviation from the exact values after {rounds} rounds: {worst:.5f}")

@@ -3,12 +3,12 @@
 The clique list is materialized with stable lexicographic ids because the
 weight-distribution state and the verification flow networks both index into
 it. Enumeration orients each edge from its smaller id to its larger one:
-``fwd[v]`` is the part of v's sorted neighbour list above v. Triangles come
-from one flat loop over the oriented edges (v, w), each closing with the
-vertices in both ``fwd[v]`` and ``fwd[w]`` (Chiba and Nishizeki, 1985); other
-sizes from recursive intersection of forward sets (kClist, Danisch et al.,
-2018), where at h = 2 each edge comes from its smaller endpoint. Each clique
-is listed once, as its increasing chain of ids.
+``fwd[v]`` is the part of v's sorted neighbour list above v. Cliques of
+every size come from recursive intersection of forward sets (kClist,
+Danisch et al., 2018): at h = 2 each edge comes from its smaller endpoint,
+and a triangle (v, w, x) closes the oriented edge (v, w) with each x in both
+``fwd[v]`` and ``fwd[w]`` (Chiba and Nishizeki, 1985). Each clique is
+listed once, as its increasing chain of ids.
 
 Every intersection is set against set, and Python's ``&`` iterates the
 smaller operand, so listing triangles costs the sum over edges (u, w) of
@@ -100,30 +100,27 @@ def enumerate_cliques(g: Graph, h: int) -> CliqueSet:
     out: list[tuple[int, ...]] = []
     fwd = [a[bisect_right(a, v):] for v, a in enumerate(g.adj)]
     fset = list(map(set, fwd))
-    if h == 3:
-        for v, fv in enumerate(fwd):
-            sv = fset[v]
-            for w in fv:
-                common = sv & fset[w]
-                if common:
-                    out += [(v, w, x) for x in sorted(common)]
-        return _index_cliques(3, out, g.n)
-
-    def extend(prefix: tuple[int, ...], cand: Sequence[int],
-               cset: set[int]) -> None:
-        if len(prefix) == h - 1:
-            out.extend([prefix + (v,) for v in cand])
-            return
-        need = h - len(prefix) - 1
-        for v in cand:
-            nset = cset & fset[v]
-            if len(nset) >= need:
-                extend(prefix + (v,), sorted(nset), nset)
-
     for v, fv in enumerate(fwd):
         if len(fv) >= h - 1:
-            extend((v,), fv, fset[v])
+            _extend(out, fset, h, (v,), fv, fset[v])
     return _index_cliques(h, out, g.n)
+
+
+def _extend(out: list[tuple[int, ...]], fset: list[set[int]], h: int,
+            prefix: tuple[int, ...], cand: Sequence[int],
+            cset: set[int]) -> None:
+    """Append to ``out`` every h-clique that extends ``prefix`` by members of
+    ``cand``, the sorted ids of ``cset``. A module-level function, not a
+    closure: a nested function that calls itself sits in a reference cycle
+    that would keep ``out`` and ``fset`` alive until a full collection."""
+    if len(prefix) == h - 1:
+        out.extend([prefix + (v,) for v in cand])
+        return
+    need = h - len(prefix) - 1
+    for v in cand:
+        nset = cset & fset[v]
+        if len(nset) >= need:
+            _extend(out, fset, h, prefix + (v,), sorted(nset), nset)
 
 
 def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:

@@ -37,6 +37,8 @@ class Graph:
     dropped_duplicates: int = 0
 
     def __post_init__(self):
+        if self.n < 0 or len(self.adj) != self.n:
+            raise ValueError(f"n={self.n} with {len(self.adj)} adjacency lists")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(self.n)))
         elif len(self.labels) != self.n:

@@ -88,8 +88,10 @@ class ResultRecord:
     """One verified locally densest subgraph.
 
     ``vertices`` holds external ids (the input file's), ``members`` the
-    internal ids. Densities are exact and non-increasing with rank; member
-    sets are pairwise disjoint.
+    internal ids. Every record is verified, its density is exact, and
+    member sets are pairwise disjoint. Ranks follow the candidates' own
+    densities, so a later record can be denser than an earlier one, and a
+    top-k query can miss a set that ``emit_all`` finds.
     """
 
     rank: int

@@ -30,30 +30,27 @@ from .weights import WeightState
 @dataclass
 class Partition:
     """Disjoint vertex blocks covering the working graph, by descending load
-    at sort time. ``order`` is the full sorted vertex sequence. ``spanning``
-    lists, in ascending order, the ids of the cliques whose members lie in
-    two or more blocks; every other clique lies wholly inside one block."""
+    at sort time. ``spanning`` lists, in ascending order, the ids of the
+    cliques whose members lie in two or more blocks; every other clique lies
+    wholly inside one block."""
 
     groups: list[VertexSet]
-    order: list[int]
     spanning: list[int]
 
 
 def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     """Partition by load-descending prefix-density records and reassign weight.
 
-    The loads are first made exact: ``ws.load`` becomes the integer sums of
-    the shares over ``ws.den``, and vertices are sorted by descending exact
-    load, ties by ascending id. Cut positions are the prefix lengths q whose
-    density (cliques fully inside the first q vertices, over q) strictly
-    exceeds the density of every longer prefix; the comparison is exact
-    integer arithmetic. For each clique spanning multiple blocks, the weight
-    its members hold outside the last touched block is zeroed and
-    redistributed equally among its members inside that block, and only
-    those members' loads change; ws's shares and loads are updated in
-    place, and ``run_iterations`` refuses ws from then on. The split is
-    exact: every share is a multiple of lcm(1..h-1), which the count of
-    inside members divides.
+    Vertices are sorted by descending exact load, ties by ascending id. Cut
+    positions are the prefix lengths q whose density (cliques fully inside
+    the first q vertices, over q) strictly exceeds the density of every
+    longer prefix; the comparison is exact integer arithmetic. For each
+    clique spanning multiple blocks, the weight its members hold outside
+    the last touched block is zeroed and redistributed equally among its
+    members inside that block, and only those members' loads change; ws's
+    shares and loads are updated in place, so each load stays the sum of
+    its shares. The split is exact: every share is a multiple of
+    lcm(1..h-1), which the count of inside members divides.
 
     Blocks are contiguous runs of the load order, so a clique spans blocks
     iff its first and last members in that order lie in different blocks,
@@ -66,9 +63,7 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     cliques = cs.cliques
     h = cs.h
     share = ws.share
-    load = [0] * n
-    for v, x in zip(chain.from_iterable(cliques), share):
-        load[v] += x
+    load = ws.load
     # descending load, ties by ascending id: a reverse sort keeps equal keys
     # in input order
     order = sorted(range(n), key=load.__getitem__, reverse=True)
@@ -123,9 +118,7 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
         for i in inside:
             share[base + i] += add
             load[members[i]] += add
-    ws.load = load
-    ws.picks = None
-    return Partition(groups=groups, order=order, spanning=spanning)
+    return Partition(groups=groups, spanning=spanning)
 
 
 def _share_conditions_ok(members: set[int], lo: int, hi: int,
@@ -182,7 +175,7 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
         raise ValueError(f"bounds over {bounds.den}, loads over {ws.den}")
     out = bounds.copy()
     load = ws.load
-    all_loads = sorted(load[v] for v in partition.order)
+    all_loads = sorted(load)
     crossing: dict[int, list[int]] = {}  # vertex -> its spanning cliques
     for cid in partition.spanning:
         for v in cs.cliques[cid]:

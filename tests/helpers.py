@@ -196,22 +196,20 @@ def pattern_counts_bruteforce(g: Graph, pattern: str) -> Counter:
 def run_iterations_eager(ws, rounds: int):
     """Reference weight iteration: the plain per-clique update, in place.
 
-    Every round rescales each load by 1 - 1/(t+1) with ``*=``, then walks
-    cliques in id order, finds the minimum-load member with a strict ``<``
-    (so the smallest position wins ties) and adds 1/(t+1) to its load:
-    ``run_iterations`` must match these float loads bit for bit. Shares are
-    exact: each is multiplied by t/(t+1), and the picked one gains 1/(t+1),
-    all in ``Fraction``s, starting from exactly 1/h when ``ws`` comes from
-    ``init_weights``. ``run_iterations`` must hold them as numerators over
-    its ``den``.
+    Every round rescales each float load by 1 - 1/(t+1) with ``*=``, then
+    walks cliques in id order, finds the minimum-load member with a strict
+    ``<`` (so the smallest position wins ties) and adds 1/(t+1) to its load.
+    The float loads start from degree/h and only steer the picks. Shares are
+    exact: each starts at 1/h, is multiplied by t/(t+1), and the picked one
+    gains 1/(t+1), all in ``Fraction``s. ``ws.share`` becomes those shares
+    and ``ws.load`` their per-vertex sums, both as ``Fraction``s;
+    ``run_iterations`` must hold them as numerators over its ``den``.
     """
     cliques = ws.cs.cliques
     h = ws.cs.h
-    if ws.rounds_done == 0:
-        ws.share = [Fraction(1, h)] * len(ws.share)
-    share = ws.share
-    load = ws.load
-    for t in range(ws.rounds_done + 1, ws.rounds_done + rounds + 1):
+    share = [Fraction(1, h)] * len(ws.share)
+    load = [d / h for d in ws.cs.degree]
+    for t in range(1, rounds + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
         exact_keep = Fraction(t, t + 1)
@@ -230,7 +228,8 @@ def run_iterations_eager(ws, rounds: int):
                     best_pos = i
             share[cid * h + best_pos] += exact_gamma
             load[members[best_pos]] = best + gamma
-    ws.rounds_done += rounds
+    ws.share = share
+    ws.load = share_sums(ws)
     return ws
 
 
@@ -307,14 +306,14 @@ def exact_bounds(core, h: int, den: int) -> Bounds:
                   lower=[int(x) for x in lower], den=den)
 
 
-def is_stable_group(candidate, partition, ws, cs) -> bool:
-    """Def-checked stability of a union of consecutive partition blocks.
+def is_stable_group(candidate, ws, cs) -> bool:
+    """Def-checked stability of a candidate vertex set.
 
     (1) every outside vertex's load lies strictly above the candidate's
     maximum or strictly below its minimum; (2)/(3) every clique joining the
     candidate to a heavier (lighter) vertex carries share exactly 0 on the
     heavy (candidate) side. Loads and shares are exact integers over
-    ``ws.den`` once ``tentative_decomposition`` has run.
+    ``ws.den``.
     """
     members = set(candidate)
     if not members:
@@ -322,28 +321,26 @@ def is_stable_group(candidate, partition, ws, cs) -> bool:
     load = ws.load
     lo = min(load[v] for v in members)
     hi = max(load[v] for v in members)
-    for v in partition.order:
-        if v in members:
-            continue
-        if lo <= load[v] <= hi:
+    for v, x in enumerate(load):
+        if v not in members and lo <= x <= hi:
             return False
     return _share_conditions_ok(members, lo, hi, ws, cs)
 
 
 def stable_groups_reference(partition, ws, cs, bounds):
     """``derive_stable_groups`` with every stability check made by
-    ``is_stable_group``: the separation by a scan of the load order, the
+    ``is_stable_group``: the separation by a scan of every load, the
     share conditions over every clique incident to the candidate. Returns
     the groups and the tightened bounds."""
     sets: list[list[int]] = []
     acc: list[int] = []
     for block in partition.groups:
         acc += block
-        if is_stable_group(acc, partition, ws, cs):
+        if is_stable_group(acc, ws, cs):
             sets.append(acc)
             acc = []
     while acc:
-        if is_stable_group(acc, partition, ws, cs):
+        if is_stable_group(acc, ws, cs):
             sets.append(acc)
             break
         acc = sets.pop() + acc

@@ -138,20 +138,19 @@ def test_criterion_06_convergence():
         "K5": k_n(5),
         "two-K4-bridge": two_k4_bridge_vertex(),
     }
-    noise = 1e-12  # float accumulation floor; errors at machine epsilon jitter
     ok = True
     for name, g in fixtures.items():
         cs = enumerate_cliques(g, 3)
-        phi = [float(x) for x in oracle_compact_numbers(g, 3)]
+        phi = oracle_compact_numbers(g, 3)
         errs = []
         for rounds in (100, 1000, 10000):
             ws = run_iterations(init_weights(cs), rounds)
-            errs.append(max(abs(ws.load[v] - phi[v]) for v in range(g.n)))
-        ok = ok and errs[2] <= 0.05
-        ok = ok and errs[0] >= errs[1] - noise and errs[1] >= errs[2] - noise
-        assert errs[2] <= 0.05, (name, errs)
-        assert errs[0] >= errs[1] - noise and errs[1] >= errs[2] - noise, \
-            (name, errs)
+            errs.append(max(abs(Fraction(x, ws.den) - phi[v])
+                            for v, x in enumerate(ws.load)))
+        ok = ok and errs[2] <= Fraction(5, 100)
+        ok = ok and errs[0] >= errs[1] >= errs[2]
+        assert errs[2] <= Fraction(5, 100), (name, errs)
+        assert errs[0] >= errs[1] >= errs[2], (name, errs)
     _report(6, "weight iteration converges to the compact numbers", ok)
 
 

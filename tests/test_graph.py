@@ -78,6 +78,15 @@ def test_labels_must_name_each_vertex_once(labels, message):
         Graph.from_edges(4, clique_edges(range(4)), labels=labels)
 
 
+def test_size_must_match_adjacency():
+    # a negative n or a short adjacency would otherwise fail, or not, deep
+    # inside the pipeline
+    with pytest.raises(ValueError, match="n=-2 with 0 adjacency lists"):
+        Graph.from_edges(-2, [])
+    with pytest.raises(ValueError, match="n=3 with 2 adjacency lists"):
+        Graph(n=3, m=0, adj=((), ()))
+
+
 def test_labels_need_not_be_sorted():
     g = Graph.from_edges(4, clique_edges(range(4)), labels=[13, 11, 12, 10])
     assert g.labels == (13, 11, 12, 10)

@@ -208,3 +208,16 @@ def test_terminates_on_non_self_densest_working_set():
 def test_terminates_emit_all_planted(seed):
     g = planted(seed, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     _assert_terminates(g, PipelineConfig(h=3, k=1, emit_all=True))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", [9, 12, 14])
+def test_top1_is_densest_of_emit_all(seed):
+    # The driver ranks candidates by their own density, but a sparser
+    # candidate can hold a denser LhCDS: here top-1 is a 28/3 set while
+    # emit_all finds a density-12 one.
+    g = planted(seed, n=3000, m=12000, blocks=20, size_lo=6, size_hi=10,
+                p=1.0)
+    everything = ippv(g, PipelineConfig(h=3, k=1, emit_all=True))
+    top = ippv(g, PipelineConfig(h=3, k=1))
+    assert top[0].density == max(r.density for r in everything)

@@ -64,14 +64,14 @@ def test_partition_blocks_cover_and_order():
         g = gnp(rng, rng.randint(3, 9), 0.5)
         cs = enumerate_cliques(g, 3)
         ws = run_iterations(init_weights(cs), 20)
-        sort_load = share_sums(ws)  # the exact loads the sort reads
+        sort_load = ws.load[:]  # the exact loads the sort reads
         partition = tentative_decomposition(cs, ws)
         flat = [v for grp in partition.groups for v in grp]
         assert sorted(flat) == list(range(g.n))
         # blocks follow the sort-time load order
         seq = [v for grp in partition.groups for v in
                sorted(grp, key=lambda u: (-sort_load[u], u))]
-        assert seq == partition.order
+        assert seq == sorted(range(g.n), key=lambda u: (-sort_load[u], u))
 
 
 def test_reassignment_conserves_mass():
@@ -94,8 +94,8 @@ def test_whole_set_always_stable():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
     ws = run_iterations(init_weights(cs), 5)
-    partition = tentative_decomposition(cs, ws)
-    assert is_stable_group(tuple(range(5)), partition, ws, cs)
+    tentative_decomposition(cs, ws)
+    assert is_stable_group(tuple(range(5)), ws, cs)
 
 
 def test_outward_share_blocks_stability():
@@ -104,17 +104,7 @@ def test_outward_share_blocks_stability():
     # cannot be split off
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4), (1, 4)])
     cs = enumerate_cliques(g, 3)
-    ws = init_weights(cs)
-    partition = _single_blocks_partition(g, ws)
-    assert not is_stable_group((4,), partition, ws, cs)
-
-
-def _single_blocks_partition(g, ws):
-    from lhcds.proposal import Partition
-    order = sorted(range(g.n), key=lambda v: (-ws.load[v], v))
-    # with one vertex per block, every clique spans blocks
-    return Partition(groups=[(v,) for v in order], order=order,
-                     spanning=list(range(len(ws.cs.cliques))))
+    assert not is_stable_group((4,), init_weights(cs), cs)
 
 
 def test_derived_groups_disjoint_and_stable():
@@ -130,7 +120,7 @@ def test_derived_groups_disjoint_and_stable():
         for grp in groups:
             assert not (set(grp) & seen)
             seen |= set(grp)
-            assert is_stable_group(grp, partition, ws, cs)
+            assert is_stable_group(grp, ws, cs)
         assert seen == set(range(g.n))
         for v in range(g.n):
             assert tightened.upper[v] <= bounds.upper[v]
