@@ -1,9 +1,10 @@
 """End-to-end top-k discovery on a graph with planted communities.
 
 Three cliques of different sizes sit in a sea of random edges; the pipeline
-returns them in exact density order, each one verified maximal by the flow
-check. The run statistics show how much work the propose and prune pass
-and the checks after it did.
+returns them, each one verified maximal by the flow check and with its exact
+density. The order follows the candidates' own densities, so a later record
+can be denser than an earlier one. The run statistics show how much work
+the propose and prune pass and the checks after it did.
 
 Run: python3 demos/03_top_k_discovery.py
 """

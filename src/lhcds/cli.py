@@ -80,10 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     stats = RunStats()
-    cfg = PipelineConfig(h=args.h, k=args.k, iterations=args.iterations,
-                         verify_mode=args.verify)
     try:
-        cfg.validate()
+        cfg = PipelineConfig(h=args.h, k=args.k, iterations=args.iterations,
+                             verify_mode=args.verify)
         if args.oracle:
             if args.pattern is not None:
                 print("lhcds: --oracle supports clique mode only", file=sys.stderr)

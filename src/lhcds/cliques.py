@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, vertex_set
 
 
 @dataclass
@@ -61,11 +61,15 @@ class CliqueSet:
         """Clique degrees inside ``members`` (distinct vertices, any order):
         entry i counts the cliques that lie entirely inside ``members`` and
         contain ``members[i]``. Each clique is met once, at its smallest
-        member, so the degrees sum to h times the number of such cliques."""
+        member, so the degrees sum to h times the number of such cliques.
+        Raises ValueError for an id outside 0..n-1 or a repeated one."""
+        vs = vertex_set(members, len(self.degree))
+        if len(vs) != len(members):
+            raise ValueError("repeated vertex id")
         cliques = self.cliques
-        inside = set(members).__contains__
+        inside = set(vs).__contains__
         kept = []
-        for v in members:
+        for v in vs:
             span = self.led_by(v)
             kept += [c for c in cliques[span.start:span.stop]
                      if all(map(inside, c))]
@@ -75,11 +79,8 @@ class CliqueSet:
     def count_within(self, members: Iterable[int]) -> int:
         """Number of cliques entirely inside ``members``. Raises ValueError
         for an id outside 0..n-1."""
-        mset = set(members)
-        n = len(self.degree)
-        if mset and (min(mset) < 0 or max(mset) >= n):
-            raise ValueError(f"vertex id out of range for n={n}")
-        return sum(self.degrees_within(list(mset))) // self.h
+        vs = vertex_set(members, len(self.degree))
+        return sum(self.degrees_within(vs)) // self.h
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:
@@ -131,11 +132,8 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     the relabeling is the identity and ``cs`` itself is returned. Raises
     ValueError for an id outside 0..n-1.
     """
-    mlist = sorted(set(members))
-    n = len(cs.degree)
-    if mlist and (mlist[0] < 0 or mlist[-1] >= n):
-        raise ValueError(f"vertex id out of range for n={n}")
-    if len(mlist) == n:
+    mlist = vertex_set(members, len(cs.degree))
+    if len(mlist) == len(cs.degree):
         return cs
     pos = {v: i for i, v in enumerate(mlist)}
     get = pos.get

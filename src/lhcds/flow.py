@@ -306,17 +306,14 @@ def is_densest(cs_s: CliqueSet) -> bool:
     return not denser_part(cs_s)
 
 
-def _candidate_set(g: Graph, s: Sequence[int]) -> set[int]:
-    """The candidate's vertex set; rejects an empty or disconnected one, and
-    one with an id outside 0..g.n-1."""
-    s_set = set(s)
-    if not s_set:
-        raise ValueError("empty candidate")
-    if min(s_set) < 0 or max(s_set) >= g.n:
-        raise ValueError(f"vertex id out of range for n={g.n}")
-    if len(connected_components(g, s_set)) != 1:
-        raise ValueError("candidate is not connected")
-    return s_set
+def _candidate_set(g: Graph, s: Sequence[int]) -> VertexSet:
+    """The candidate's vertices as a VertexSet; rejects an empty or
+    disconnected one, and one with an id outside 0..g.n-1."""
+    comps = connected_components(g, s)
+    if len(comps) != 1:
+        raise ValueError("candidate is not connected" if comps
+                         else "empty candidate")
+    return comps[0]
 
 
 def _thresholds(num: int, size: int, den: int) -> tuple[int, int]:
@@ -344,10 +341,10 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
     (shifted by -1/|V|^2) and accepts iff G[s] is exactly one of the connected
     components of the result.
     """
-    s_set = _candidate_set(g, s)
-    rho = Fraction(cs.count_within(s_set), len(s_set))
+    cand = _candidate_set(g, s)
+    rho = Fraction(cs.count_within(cand), len(cand))
     compact = derive_compact(cs, rho - Fraction(1, g.n * g.n), ())
-    return tuple(sorted(s_set)) in connected_components(g, compact)
+    return cand in connected_components(g, compact)
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
@@ -405,26 +402,26 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     When ``paths`` is given, its key ``"early_accept"``, ``"early_reject"``
     or ``"flow"`` is incremented by how the call decided.
     """
-    s_set = _candidate_set(g, s)
+    cand = _candidate_set(g, s)
     if output_membership is None:
         output_membership = [False] * g.n
     if paths is None:
         paths = Counter()
     if degrees is None:
-        s = sorted(s_set)
-        degrees = cs.degrees_within(s)
-    elif len(degrees) != len(s) or any(a >= b for a, b in zip(s, s[1:])):
+        degrees = cs.degrees_within(cand)
+    elif len(degrees) != len(cand) or tuple(s) != cand:
         raise ValueError("degrees need s sorted, distinct and of their length")
     count = sum(degrees) // cs.h
-    rho = Fraction(count, len(s_set))
-    dead_at, hot_at = _thresholds(count, len(s_set), bounds.den)
+    rho = Fraction(count, len(cand))
+    dead_at, hot_at = _thresholds(count, len(cand), bounds.den)
     upper, lower = bounds.upper, bounds.lower
     cliques = cs.cliques
     incidence = cs.incidence
     h = cs.h
 
-    interior = _interior_members(cs, s, degrees, lower, hot_at,
+    interior = _interior_members(cs, cand, degrees, lower, hot_at,
                                  output_membership)
+    s_set = set(cand)
     in_t = bytearray(g.n)
     t_list: list[int] = []
     queue: deque[int] = deque()
@@ -433,7 +430,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     clean = True                   # nothing suspicious seen: early accept
     rejected = False               # certificate anchored at the candidate
 
-    for u in sorted(s_set):
+    for u in cand:
         if in_t[u]:
             continue
         queue.append(u)
@@ -477,7 +474,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
                     in_t[w] = 1
                     t_list.append(w)
                     queue.append(w)
-    if clean and len(t_list) == len(s_set):
+    if clean and len(t_list) == len(cand):
         paths["early_accept"] += 1
         return True
     if rejected:
@@ -495,5 +492,4 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
             border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
     compact = derive_compact(sub_cs, shifted, border)
-    return tuple(sorted(s_set)) in connected_components(
-        g, [t_sorted[i] for i in compact])
+    return cand in connected_components(g, [t_sorted[i] for i in compact])

@@ -8,7 +8,6 @@ construction and safe for concurrent reads.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -18,6 +17,15 @@ log = logging.getLogger(__name__)
 
 # A VertexSet is a sorted, duplicate-free tuple of internal vertex ids.
 VertexSet = tuple[int, ...]
+
+
+def vertex_set(ids: Iterable[int], n: int) -> VertexSet:
+    """``ids`` as a VertexSet of a graph on n vertices. Raises ValueError for
+    an id outside 0..n-1: a negative one would alias a vertex from the end."""
+    members = tuple(sorted(set(ids)))
+    if members and (members[0] < 0 or members[-1] >= n):
+        raise ValueError(f"vertex id out of range for n={n}")
+    return members
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,6 @@ class Graph:
                    labels=tuple(labels) if labels is not None else None,
                    dropped_self_loops=loops, dropped_duplicates=dups)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
-
 
 def parse_edge_list(source: str | bytes | IO) -> Graph:
     """Parse a whitespace-separated edge list ("u v" per line) into a Graph.
@@ -128,9 +131,7 @@ def parse_edge_list(source: str | bytes | IO) -> Graph:
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Return G[S], or g itself when S covers every vertex. The subgraph's
     labels map back to g's external ids."""
-    members = tuple(sorted(set(s)))
-    if members and (members[0] < 0 or members[-1] >= g.n):
-        raise ValueError(f"vertex id out of range for n={g.n}")
+    members = vertex_set(s, g.n)
     if len(members) == g.n:
         return g
     pos = {v: i for i, v in enumerate(members)}
@@ -143,12 +144,13 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 def connected_components(g: Graph, members: Iterable[int] | None = None
                          ) -> list[VertexSet]:
     """Partition ``members`` (default: all of V) into the maximal connected
-    sets of g restricted to them, ordered by smallest member."""
+    sets of g restricted to them, ordered by smallest member. Raises
+    ValueError for a member outside 0..n-1."""
     if members is None:
         starts: Iterable[int] = range(g.n)
         unseen = bytearray(b"\1") * g.n
     else:
-        starts = sorted(set(members))
+        starts = vertex_set(members, g.n)
         unseen = bytearray(g.n)
         for v in starts:
             unseen[v] = 1

@@ -63,8 +63,10 @@ from .pruning import prune
 from .weights import init_weights, run_iterations
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Settings of one query; a config with a bad setting cannot be built."""
+
     h: int = 3
     k: int = 5
     iterations: int = 20
@@ -72,7 +74,7 @@ class PipelineConfig:
     emit_all: bool = False     # run until the stack empties; k is ignored
     cross_check: bool = False  # run both verifiers, count disagreements
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.h < 2:
             raise ValueError("h must be >= 2")
         if self.k < 1:
@@ -99,7 +101,6 @@ class ResultRecord:
     members: VertexSet
     clique_count: int
     density: Fraction
-    verified: bool = True
 
 
 @dataclass
@@ -131,14 +132,12 @@ class RunStats:
 @dataclass
 class RoundEvent:
     """Trace of the propose and prune pass for tests: candidates after
-    pruning, the pruned vertices, and snapshots of the bound arrays, as
-    integer numerators over ``den``."""
+    pruning, the pruned vertices, and the pass's bounds, which the driver
+    does not change after pruning."""
 
     candidates: list[VertexSet]
     pruned: VertexSet
-    upper: list[int]
-    lower: list[int]
-    den: int
+    bounds: Bounds
 
 
 @dataclass
@@ -158,7 +157,6 @@ def ippv(g: Graph, cfg: PipelineConfig, *, stats: RunStats | None = None,
     subgraphs (an empty list when it has no h-clique at all). With
     cfg.emit_all the complete list is returned.
     """
-    cfg.validate()
     return _run(g, enumerate_cliques(g, cfg.h), cfg, stats, on_round)
 
 
@@ -171,7 +169,6 @@ def ippv_pattern(g: Graph, pattern_id: str, cfg: PipelineConfig, *,
     Identical control flow with pattern instances in place of h-cliques
     (cfg.h is ignored; the instance size 4 drives every formula).
     """
-    cfg.validate()
     return _run(g, enumerate_patterns(g, pattern_id), cfg, stats, on_round)
 
 
@@ -191,13 +188,12 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
                                           ws, cs, bounds)
     kept, surviving = prune(g, groups, bounds, cs)
     candidates = _as_candidates(g, cs, kept)
-    pruned = tuple(sorted(set(range(g.n)).difference(surviving)))
     stats.candidates_proposed += len(candidates)
-    stats.pruned_vertices += len(pruned)
+    stats.pruned_vertices += g.n - len(surviving)
     if on_round is not None:
+        pruned = tuple(sorted(set(range(g.n)).difference(surviving)))
         on_round(RoundEvent(candidates=[c.vertices for c in candidates],
-                            pruned=pruned, upper=list(bounds.upper),
-                            lower=list(bounds.lower), den=bounds.den))
+                            pruned=pruned, bounds=bounds))
 
     emitted_flag = [False] * g.n
     results: list[ResultRecord] = []

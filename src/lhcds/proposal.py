@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, compress, count
 from operator import itemgetter, ne
 from typing import Iterable
 
@@ -119,13 +119,6 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
             share[base + i] += add
             load[members[i]] += add
     return Partition(groups=groups, spanning=spanning)
-
-
-def _share_conditions_ok(members: set[int], lo: int, hi: int,
-                         ws: WeightState, cs: CliqueSet) -> bool:
-    """Def conditions (2)/(3): no weight crosses the candidate's boundary."""
-    incident = set(chain.from_iterable(map(cs.incidence.__getitem__, members)))
-    return _no_weight_crosses(incident, members, lo, hi, ws, cs)
 
 
 def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: int,

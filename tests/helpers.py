@@ -6,16 +6,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
                    parse_edge_list, restrict_cliques)
 from lhcds.cliques import _index_cliques
-from lhcds.proposal import _share_conditions_ok
+from lhcds.proposal import _no_weight_crosses
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
     return list(combinations(vertices, 2))
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return v in g.adj[u]
 
 
 def k_n(n: int) -> Graph:
@@ -185,7 +189,7 @@ def pattern_counts_bruteforce(g: Graph, pattern: str) -> Counter:
     counts: Counter = Counter()
     for quad in combinations(range(g.n), 4):
         present = [frozenset((i, j)) for i, j in combinations(range(4), 2)
-                   if g.has_edge(quad[i], quad[j])]
+                   if has_edge(g, quad[i], quad[j])]
         found = sum(frozenset(sub) in shapes
                     for sub in combinations(present, size))
         if found:
@@ -324,7 +328,8 @@ def is_stable_group(candidate, ws, cs) -> bool:
     for v, x in enumerate(load):
         if v not in members and lo <= x <= hi:
             return False
-    return _share_conditions_ok(members, lo, hi, ws, cs)
+    incident = set(chain.from_iterable(map(cs.incidence.__getitem__, members)))
+    return _no_weight_crosses(incident, members, lo, hi, ws, cs)
 
 
 def stable_groups_reference(partition, ws, cs, bounds):

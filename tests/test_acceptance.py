@@ -62,9 +62,10 @@ def suite() -> SuiteOutcome:
             out.disagreements += stats.verify_disagreements
             out.verify_calls += stats.verify_calls
             for ev in events:
+                b = ev.bounds
                 for u in range(g.n):
-                    # exact: the bounds are numerators over ev.den
-                    if not (ev.lower[u] <= phi[u] * ev.den <= ev.upper[u]):
+                    # exact: the bounds are numerators over b.den
+                    if not (b.lower[u] <= phi[u] * b.den <= b.upper[u]):
                         out.bound_violations += 1
                 for v in ev.pruned:
                     if v in member_union:

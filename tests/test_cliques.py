@@ -10,8 +10,9 @@ from lhcds import (PATTERN_NAMES, Graph, clique_core_numbers,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
                    init_weights, initialize_bounds, oracle_compact_numbers,
                    restrict_cliques)
-from helpers import (core_bruteforce, enumerate_cliques_reference, gnp, k_n,
-                     path_n, planted, triangle, two_k4_bridge_edge)
+from helpers import (core_bruteforce, enumerate_cliques_reference, gnp,
+                     has_edge, k_n, path_n, planted, triangle,
+                     two_k4_bridge_edge)
 
 # clique sizes, and two pattern sets whose member quadruples repeat
 INSTANCE_KINDS = [2, 3, 4, "diamond", "3star"]
@@ -64,7 +65,7 @@ def test_degree_sum_and_exhaustive_cross_check(seed, n, h):
     cs = enumerate_cliques(g, h)
     assert sum(cs.degree) == h * len(cs.cliques)
     brute = [c for c in combinations(range(n), h)
-             if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
+             if all(has_edge(g, u, v) for u, v in combinations(c, 2))]
     assert cs.cliques == brute
 
 
@@ -266,6 +267,18 @@ def test_degrees_within_matches_bruteforce(kind):
                 [sum(v in c for c in inside) for v in members]
             assert cs.count_within(members) == len(inside)
         assert cs.degrees_within(range(g.n)) == cs.degree
+
+
+def test_degrees_within_rejects_bad_ids():
+    # entry i answers for members[i]: an id outside 0..n-1 lies in no clique
+    # of this graph, and a repeated one would be answered twice
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    cs = enumerate_cliques(g, 3)
+    with pytest.raises(ValueError, match="vertex id out of range for n=4"):
+        cs.degrees_within([0, 1, 2, 7])
+    with pytest.raises(ValueError, match="repeated vertex id"):
+        cs.degrees_within([0, 1, 2, 1])
+    assert cs.degrees_within([2, 0, 1]) == [1, 1, 1]
 
 
 def test_restrict_cliques_matches_reenumeration():

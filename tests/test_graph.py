@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lhcds import Graph, connected_components, induced_subgraph, parse_edge_list
+from lhcds.graph import vertex_set
 from helpers import (clique_edges, degeneracy_order_heap, gnp, k_n, path_n,
                      planted, star, triangle, two_k4_bridge_edge)
 import random
@@ -98,6 +99,18 @@ def test_components():
     empty = Graph.from_edges(4, [])
     assert connected_components(empty) == [(0,), (1,), (2,), (3,)]
     assert connected_components(path_n(3)) == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("members", [[-1, 0], [0, 9]])
+def test_components_reject_ids_out_of_range(members):
+    # -1 would alias vertex n-1's slot, and 9 would index past the graph
+    with pytest.raises(ValueError, match="vertex id out of range for n=5"):
+        connected_components(path_n(5), members)
+
+
+def test_vertex_set_sorts_and_drops_repeats():
+    assert vertex_set([3, 1, 3], 4) == (1, 3)
+    assert vertex_set([], 0) == ()
 
 
 def test_degeneracy_order_k4():

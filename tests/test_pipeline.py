@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ def test_two_k4s_top2():
     assert _members(got) == [((0, 1, 2, 3), Fraction(1)),
                              ((5, 6, 7, 8), Fraction(1))]
     assert [r.rank for r in got] == [1, 2]
-    assert all(r.verified for r in got)
 
 
 def test_k5_top1_four_cliques():
@@ -154,6 +154,14 @@ def test_config_validation():
         ippv(triangle(), PipelineConfig(iterations=0))
     with pytest.raises(ValueError):
         ippv(triangle(), PipelineConfig(verify_mode="other"))
+
+
+def test_config_is_checked_when_built_and_frozen():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        PipelineConfig(k=0)
+    cfg = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k = 3
 
 
 def test_pattern_4clique_equals_h4():

@@ -141,9 +141,10 @@ def test_bounds_hold_compact_numbers_exactly(seed, mode):
         cs = enumerate_cliques(g, mode)
     phi = _compact_numbers(g, cs)
     (ev,) = events
+    b = ev.bounds
     for v in range(g.n):
-        assert Fraction(ev.lower[v], ev.den) <= phi[v] <= \
-            Fraction(ev.upper[v], ev.den)
+        assert Fraction(b.lower[v], b.den) <= phi[v] <= \
+            Fraction(b.upper[v], b.den)
 
 
 @pytest.mark.time_limit(10)  # each case took under 1 s when measured
