@@ -6,13 +6,16 @@ point never touches the flow. The min cut is read off as the largest optimal
 source side (vertices with no residual path to the sink), which is what the
 "largest subgraph maximizing clique count minus rho times size" contract
 requires; the residual-reachable-from-source set would give the smallest.
+Dinic counts its levels as distances to the sink, so its last level search,
+which no longer reaches the source, marks exactly the nodes with a residual
+path to the sink. That set is the same for every maximum flow.
 
 Networks are flat lists indexed by arc id. Arcs are created in pairs: arc
 ``e`` runs to node ``head[e]`` with remaining capacity ``cap[e]``, and its
 residual twin ``e ^ 1`` runs back with the capacity flow has freed, so the
 tail of ``e`` is ``head[e ^ 1]``. ``arcs[u]`` lists the ids of the arcs
-leaving node ``u``, residual twins included. Dinic and the min-cut scan walk
-these lists of ints instead of one list object per arc.
+leaving node ``u``, residual twins included. Dinic walks these lists of ints
+instead of one list object per arc.
 
 A network reads cliques, never edges, so all but the verifiers take a clique
 set alone and work on its vertices 0..len(cs.degree)-1; a subproblem on S is
@@ -144,14 +147,17 @@ def build_network(cs: CliqueSet, rho: Fraction,
     return net
 
 
-def _max_flow(net: FlowNetwork) -> int:
-    """Dinic's algorithm: shortest augmenting level graphs + blocking flow.
+def _max_flow(net: FlowNetwork) -> tuple[int, list[int]]:
+    """Dinic's algorithm with levels counted as residual distance to the
+    sink: returns the flow value and the levels of the last search.
 
-    The level search stops as soon as it labels the sink: nodes at the
-    sink's depth other than the sink lie on no shortest path, so they are
-    unlabelled again. The blocking-flow walk is iterative (explicit stack of
-    arc ids) and, after each augmentation, resumes from the tail of the first
-    saturated arc; recursion would overflow on whole-graph networks.
+    Each level search runs back from the sink and stops once it labels the
+    source. The blocking-flow walk starts at the source and steps from level
+    d to d - 1 only, so it never enters the other nodes at the source's
+    depth. It is iterative (explicit stack of arc ids) and, after each
+    augmentation, resumes from the tail of the first saturated arc;
+    recursion would overflow on whole-graph networks. The last search never
+    labels the source, so it labels exactly the nodes that reach the sink.
     """
     head, cap, arcs = net.head, net.cap, net.arcs
     n = len(arcs)
@@ -159,23 +165,21 @@ def _max_flow(net: FlowNetwork) -> int:
     total = 0
     while True:
         level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            depth = level[u] + 1
-            for e in arcs[u]:
-                if cap[e]:
+        level[t] = 0
+        queue = [t]
+        for x in queue:
+            depth = level[x] + 1
+            for e in arcs[x]:
+                # e runs x -> head[e]; the residual arc head[e] -> x is its twin
+                if cap[e ^ 1]:
                     w = head[e]
                     if level[w] < 0:
                         level[w] = depth
                         queue.append(w)
-            if level[t] >= 0:
+            if level[s] >= 0:
                 break
         else:
-            return total
-        for w in queue:
-            if level[w] == depth and w != t:
-                level[w] = -1
+            return total, level
 
         it = [0] * n
         path: list[int] = []  # arc ids from the source to u
@@ -195,7 +199,7 @@ def _max_flow(net: FlowNetwork) -> int:
                 continue
             lst = arcs[u]
             i = it[u]
-            want = level[u] + 1
+            want = level[u] - 1
             while i < len(lst):
                 e = lst[i]
                 if cap[e] and level[head[e]] == want:
@@ -216,32 +220,15 @@ def _max_flow(net: FlowNetwork) -> int:
 def min_cut(net: FlowNetwork) -> CutResult:
     """Exact minimum s-t cut; the source side is the largest optimal one.
 
-    After the max flow, a node belongs to the largest min-cut source side iff
-    it has no residual path to the sink; that set is computed by a reverse
-    scan from the sink over residual arcs, which stops early once every
-    vertex node is known to reach the sink. Consumes the network.
+    It holds the vertices whose nodes have no residual path to the sink:
+    those the max flow's last level search leaves unlabelled. That set is
+    the same for every maximum flow (Picard and Queyranne 1980), so it does
+    not depend on which one Dinic finds. Consumes the network.
     """
-    flow = _max_flow(net)
-    head, cap, arcs = net.head, net.cap, net.arcs
-    first, stop = net.vertex_node(0), net.vertex_node(net.num_vertices)
-    unreached = net.num_vertices
-    reaches_sink = [False] * len(arcs)
-    reaches_sink[net.SINK] = True
-    queue = [net.SINK]
-    for x in queue:
-        if not unreached:
-            break
-        for e in arcs[x]:
-            # e runs x -> head[e]; the residual arc head[e] -> x is its twin
-            if cap[e ^ 1]:
-                w = head[e]
-                if not reaches_sink[w]:
-                    reaches_sink[w] = True
-                    queue.append(w)
-                    if first <= w < stop:
-                        unreached -= 1
-    side = tuple(v for v in range(net.num_vertices)
-                 if not reaches_sink[net.vertex_node(v)])
+    flow, level = _max_flow(net)
+    first = net.vertex_node(0)
+    side = tuple(v for v, d in enumerate(level[first:first + net.num_vertices])
+                 if d < 0)
     return CutResult(source_side=side, flow_value=Fraction(flow, net.den))
 
 

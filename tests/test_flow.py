@@ -66,6 +66,11 @@ def test_min_cut_triangle():
     cs = enumerate_cliques(g, 3)
     assert min_cut(build_network(cs, Fraction(2, 9))).source_side == (0, 1, 2)
     assert min_cut(build_network(cs, Fraction(1, 2))).source_side == ()
+    # at rho = 1/3 the whole triangle and the empty set tie at 0: the cut
+    # returns the largest side, not the residual reach from the source
+    tie = min_cut(build_network(cs, Fraction(1, 3)))
+    assert tie.source_side == (0, 1, 2)
+    assert tie.flow_value == 3
 
 
 def test_min_cut_zero_rho_keeps_clique_mass():
@@ -94,7 +99,7 @@ def test_flow_value_scales_exactly():
     assert v1 == v2  # same rational rho, possibly different denominators
     net = build_network(cs, Fraction(7, 5))
     net.cap[:] = [c * 2 for c in net.cap]
-    doubled = flow_mod._max_flow(net)
+    doubled, _ = flow_mod._max_flow(net)
     assert Fraction(doubled, net.den) == 2 * v1
 
 

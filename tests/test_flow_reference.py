@@ -4,7 +4,9 @@
 The reference network is built here from the capacities documented on
 build_network, not through it, and solved with networkx's preflow-push. Its
 largest min-cut source side is the set of vertices with no residual path to
-the sink, found by a reverse BFS from the sink.
+the sink, found by a reverse BFS from the sink; its smallest is the residual
+reach from the source. Cases where the two differ show that min_cut returns
+the largest.
 """
 
 import random
@@ -53,8 +55,8 @@ def _working_set(g, start, size):
 
 
 def _reference(sub, sub_cs, rho, boundary):
-    """Max-flow value (as a numerator over den) and largest min-cut source
-    side of the documented network, by networkx."""
+    """Max-flow value (as a numerator over den), largest and smallest
+    min-cut source side of the documented network, by networkx."""
     h = sub_cs.h
     rho_h = rho * h
     den = lcm(rho_h.denominator, *map(len, boundary))
@@ -85,7 +87,15 @@ def _reference(sub, sub_cs, rho, boundary):
                 reaches_sink.add(y)
                 queue.append(y)
     side = tuple(v for v in range(sub.n) if ("v", v) not in reaches_sink)
-    return res.graph["flow_value"], den, side
+    from_source = {"s"}
+    queue = ["s"]
+    for x in queue:
+        for y, arc in res[x].items():
+            if y not in from_source and arc["capacity"] - arc["flow"] > 0:
+                from_source.add(y)
+                queue.append(y)
+    smallest = tuple(v for v in range(sub.n) if ("v", v) in from_source)
+    return res.graph["flow_value"], den, side, smallest
 
 
 def _value(sub_cs, boundary, side):
@@ -145,13 +155,14 @@ def _cases(n, h):
 @pytest.mark.parametrize("h", [3, 4])
 @pytest.mark.parametrize("n", [30, 80, 300])
 def test_min_cut_matches_networkx(n, h):
-    checked = bordered = nonempty = 0
+    checked = bordered = nonempty = tied = 0
     for sub, sub_cs, boundary, rho in _cases(n, h):
-        flow, den, side = _reference(sub, sub_cs, rho, boundary)
+        flow, den, side, smallest = _reference(sub, sub_cs, rho, boundary)
         assert derive_compact(sub_cs, rho, boundary) == side
         got = min_cut(build_network(sub_cs, rho, boundary))
         assert got.flow_value == Fraction(flow, den)
         checked += 1
         bordered += bool(boundary)
         nonempty += bool(side)
-    assert bordered and nonempty and checked >= 12
+        tied += smallest != side
+    assert bordered and nonempty and tied and checked >= 12

@@ -223,3 +223,20 @@ def test_interior_skip_changes_no_verdict(monkeypatch):
     # two recorded calls per verification: the driver's and the recomputed
     assert len(fired) > 100
     assert sum(map(bool, fired)) > len(fired) // 4
+
+
+@pytest.mark.time_limit(60)  # took about 3 s when measured
+def test_fast_equals_basic_past_the_reference():
+    # a 3000-vertex planted graph, ten times the reference cases above: fast
+    # and basic verification must emit the same records, each must pass the
+    # whole-graph verify_basic, and flow networks must decide enough densest
+    # checks and fast verifications to matter
+    g = planted(5, n=3000, m=9000, blocks=20, size_lo=10, size_hi=30, p=0.7)
+    cs = enumerate_cliques(g, 3)
+    cfg = PipelineConfig(h=3, k=1, emit_all=True)
+    fast = RunStats()
+    got = ippv(g, cfg, stats=fast)
+    assert ippv(g, replace(cfg, verify_mode="basic")) == got
+    assert got and all(verify_basic(g, cs, r.members) for r in got)
+    assert fast.densest_checks - fast.densest_certified >= 20
+    assert fast.verify_flow >= 5
