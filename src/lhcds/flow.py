@@ -24,7 +24,7 @@ set alone and work on its vertices 0..len(cs.degree)-1; a subproblem on S is
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -309,18 +309,6 @@ def _thresholds(num: int, size: int, den: int) -> tuple[int, int]:
     return (num * den - 1) // size, num * den // size + 1
 
 
-def _interior_members(cs: CliqueSet, s: Sequence[int],
-                      degrees: Sequence[int], lower: Sequence[int],
-                      hot_at: int, output_membership: Sequence[bool]
-                      ) -> set[int]:
-    """The members of s whose cliques ``verify_fast`` need not walk: those
-    whose degree inside s (``degrees[i]`` for ``s[i]``) is their whole
-    clique degree, or none when a member of s is hot or already output."""
-    if any(lower[v] >= hot_at or output_membership[v] for v in s):
-        return set()
-    return {v for v, d in zip(s, degrees) if d == cs.degree[v]}
-
-
 def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
     """Whole-graph verification that G[s] is a maximal compact component.
 
@@ -335,63 +323,52 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
-                output_membership: Sequence[bool] | None = None, *,
-                degrees: Sequence[int] | None = None,
+                *, degrees: Sequence[int] | None = None,
                 paths: Counter[str] | None = None) -> bool:
-    """Verification on a bound-guided expansion of the candidate.
+    """Verification on a bound-guided expansion T of the candidate.
 
-    A breadth-first search grows T from s through cliques and edges that the
-    compact-number bounds cannot rule out (any neighbor whose upper bound
-    reaches the candidate density is taken: one sitting exactly at it can
-    still extend a compact superset). If the walk closes inside s itself with
-    nothing suspicious, the candidate is accepted outright. A neighbor of the
-    candidate whose lower bound exceeds the candidate density, or clique
-    contact from the candidate with an already-output result, certifies
-    rejection (such a vertex always extends a compact superset). Otherwise
-    the flow check runs on the cliques inside T, with border cliques
-    compensated at capacity h/cnt, and must return s as a connected
-    component. Agrees with verify_basic when G[s] is self-densest (no subset
-    of s is denser), as every candidate the driver verifies is. On other
-    sets it can accept where verify_basic rejects: the walk starts at the
-    smallest member of s and checks only the other members of each clique
-    it meets, so a hot smallest member can go unflagged.
+    With rho the density of G[s], a vertex is dead when its upper bound is
+    below rho and hot when its lower bound is above it. T is s plus every
+    vertex that T reaches by an edge and that is neither dead nor hot (one
+    whose bound sits exactly at rho can still extend a compact superset).
+    Three rules decide, in this order:
+
+    - a hot neighbor of s outside s rejects the candidate;
+    - otherwise T equal to s accepts it;
+    - otherwise the flow runs on the cliques inside T, with every clique
+      that has no dead member and leaves T compensated as a border entry of
+      capacity h/cnt, and must return s as a connected component.
+
+    The rules agree with verify_basic when the bounds are valid and G[s] is
+    self-densest (no subset of s is denser), as every candidate the driver
+    verifies is; on other sets the call can accept where verify_basic
+    rejects. Such an s is d(s)-compact, and two sets, each compact at rho or
+    more, that share a vertex or are joined by an edge have a rho-compact
+    union, by supermodularity of the clique count (Qin et al., "Locally
+    Densest Subgraph Discovery", KDD 2015, for edges; the proof carries over
+    to h-cliques). So:
+
+    - A hot neighbor w lies in a connected set compact above d(s). Its union
+      with s is d(s)-compact and larger than s, so s is not maximal.
+    - If T is s, suppose a connected d(s)-compact U larger than s exists.
+      U has a vertex u outside s adjacent to s. u's compact number is at
+      least d(s), so u is not dead; u is not hot either, or the first rule
+      had rejected. So u is in T, which contradicts T = s.
 
     The bound numerators are compared with the exact density rho through
-    two integer thresholds computed once per call: a vertex is dead (upper
-    bound below rho) when its upper numerator is at most the largest
-    numerator below rho, and hot (lower bound above rho) when its lower
-    numerator is at least the smallest numerator above it.
+    two integer thresholds computed once per call: a vertex is dead when its
+    upper numerator is at most the largest numerator below rho, and hot when
+    its lower numerator is at least the smallest numerator above it.
 
     ``degrees[i]`` is the number of cliques inside s that hold ``s[i]``
     (``CliqueSet.degrees_within(s)``); it is computed when not given. Given
-    degrees set rho and the interior members, so they are taken only with
-    s in strictly increasing order and of the same length: otherwise a
-    ValueError. When no member of s is hot or already output, the walk
-    skips the cliques of every interior member: one whose degree inside s is
-    its whole clique degree. That changes no verdict:
-
-    - Every clique of an interior member v lies inside s. One with a dead
-      member is passed over whoever meets it.
-    - In any other, no member is hot, so all h count (cnt == h) whichever
-      member walks it, and none is output: the clique is neither a border
-      clique nor flagged. (The walk takes in no hot vertex, so with none in
-      s, T holds none, and cnt cannot depend on who walks a clique.)
-    - Walking it would only put its members into T, and they are members of
-      s, which the outer loop puts into T anyway.
-
-    So T and the border cliques are the same, and with them the flow
-    verdict. The walk may meet the remaining cliques in another order. That
-    can only decide whether an output vertex outside s was already in T when
-    one of its cliques was met, so it cannot move an early accept (T is s, so
-    no outside vertex is ever in T). It can move a call between an early
-    reject and the flow, which give the same answer.
+    degrees set rho, so they are taken only with s in strictly increasing
+    order and of the same length: otherwise a ValueError.
 
     When ``paths`` is given, its key ``"early_accept"``, ``"early_reject"``
     or ``"flow"`` is incremented by how the call decided.
     """
     cand = _candidate_set(g, s)
-    if output_membership is None:
-        output_membership = [False] * g.n
     if paths is None:
         paths = Counter()
     if degrees is None:
@@ -402,81 +379,37 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     rho = Fraction(count, len(cand))
     dead_at, hot_at = _thresholds(count, len(cand), bounds.den)
     upper, lower = bounds.upper, bounds.lower
-    cliques = cs.cliques
-    incidence = cs.incidence
-    h = cs.h
 
-    interior = _interior_members(cs, cand, degrees, lower, hot_at,
-                                 output_membership)
-    s_set = set(cand)
-    in_t = bytearray(g.n)
-    t_list: list[int] = []
-    queue: deque[int] = deque()
-    visited = bytearray(len(cliques))  # cliques already processed
-    suspected: list[int] = []      # cliques flagged as possibly straddling
-    clean = True                   # nothing suspicious seen: early accept
-    rejected = False               # certificate anchored at the candidate
-
-    for u in cand:
-        if in_t[u]:
-            continue
-        queue.append(u)
-        in_t[u] = 1
-        t_list.append(u)
-        while queue:
-            v = queue.popleft()
-            v_in_s = v in s_set
-            for cid in () if v in interior else incidence[v]:
-                if visited[cid]:
-                    continue
-                visited[cid] = 1
-                members = cliques[cid]
-                if any(upper[w] <= dead_at for w in members):
-                    continue  # a member can never sit in a rho-compact set
-                cnt = 1
-                for w in members:
-                    if w == v:
-                        continue
-                    if not in_t[w] and output_membership[w]:
-                        clean = False
-                        if v_in_s:
-                            rejected = True
-                    if lower[w] < hot_at:
-                        if not in_t[w]:
-                            in_t[w] = 1
-                            t_list.append(w)
-                            queue.append(w)
-                        cnt += 1
-                if cnt != h:
-                    suspected.append(cid)
-                    clean = False
-            for w in g.adj[v]:
-                if in_t[w]:
-                    continue
-                if lower[w] >= hot_at:
-                    clean = False
-                    if v_in_s:
-                        rejected = True
-                elif upper[w] > dead_at:
-                    in_t[w] = 1
-                    t_list.append(w)
-                    queue.append(w)
-    if clean and len(t_list) == len(cand):
+    # The members of s come first, so every hot neighbor of s is met before
+    # T grows past s.
+    t_list = list(cand)
+    in_t = set(cand)
+    for i, v in enumerate(t_list):
+        for w in g.adj[v]:
+            if w in in_t:
+                continue
+            if lower[w] >= hot_at:
+                if i < len(cand):
+                    paths["early_reject"] += 1
+                    return False
+            elif upper[w] > dead_at:
+                in_t.add(w)
+                t_list.append(w)
+    if len(t_list) == len(cand):
         paths["early_accept"] += 1
         return True
-    if rejected:
-        paths["early_reject"] += 1
-        return False
     paths["flow"] += 1
 
     t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}
-    sub_cs = restrict_cliques(cs, t_sorted)
     border = []
-    for cid in sorted(set(suspected)):
-        inside = tuple(pos[w] for w in cliques[cid] if in_t[w])
-        if len(inside) < h:  # cnt == h means the clique ended up interior
+    for cid in sorted({cid for v in t_sorted for cid in cs.incidence[v]}):
+        members = cs.cliques[cid]
+        if any(upper[w] <= dead_at for w in members):
+            continue  # a member can never sit in a rho-compact set
+        inside = tuple(pos[w] for w in members if w in pos)
+        if len(inside) < cs.h:
             border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
-    compact = derive_compact(sub_cs, shifted, border)
+    compact = derive_compact(restrict_cliques(cs, t_sorted), shifted, border)
     return cand in connected_components(g, [t_sorted[i] for i in compact])

@@ -40,8 +40,7 @@ the witness ``flow.denser_part`` is empty iff S is self-densest, and
 otherwise it is the split. Each candidate and piece carries its members'
 clique degrees inside it from the one ``CliqueSet.degrees_within`` walk that
 counts its cliques. The equal-degree test reads them, and so does
-``flow.verify_fast``, which then need not walk the cliques of a member whose
-cliques all lie inside S.
+``flow.verify_fast``, which takes the density it verifies from them.
 """
 
 from __future__ import annotations
@@ -195,7 +194,6 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
         on_round(RoundEvent(candidates=[c.vertices for c in candidates],
                             pruned=pruned, bounds=bounds))
 
-    emitted_flag = [False] * g.n
     results: list[ResultRecord] = []
     stack = candidates[::-1]
     k_left = cfg.k
@@ -211,9 +209,7 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
             inside = [cand.vertices[i] for i in inner]
             outside = set(cand.vertices).difference(inside)
             stack.extend(reversed(_as_candidates(g, cs, (inside, outside))))
-        elif _verify(g, cs, cand, bounds, emitted_flag, cfg, stats):
-            for v in cand.vertices:
-                emitted_flag[v] = True
+        elif _verify(g, cs, cand, bounds, cfg, stats):
             results.append(ResultRecord(
                 rank=len(results) + 1,
                 vertices=tuple(sorted(g.labels[v] for v in cand.vertices)),
@@ -250,8 +246,7 @@ def _all_equal(degrees: list[int]) -> bool:
 
 
 def _verify(g: Graph, cs: CliqueSet, cand: _Candidate, bounds: Bounds,
-            emitted_flag: list[bool], cfg: PipelineConfig,
-            stats: RunStats) -> bool:
+            cfg: PipelineConfig, stats: RunStats) -> bool:
     stats.verify_calls += 1
     s = cand.vertices
     if cfg.verify_mode == "basic" or cfg.cross_check:
@@ -260,8 +255,7 @@ def _verify(g: Graph, cs: CliqueSet, cand: _Candidate, bounds: Bounds,
         if not cfg.cross_check:
             return basic
     paths: Counter[str] = Counter()
-    fast = verify_fast(g, cs, s, bounds, emitted_flag, degrees=cand.degrees,
-                       paths=paths)
+    fast = verify_fast(g, cs, s, bounds, degrees=cand.degrees, paths=paths)
     stats.verify_early_accept += paths["early_accept"]
     stats.verify_early_reject += paths["early_reject"]
     stats.verify_flow += paths["flow"]

@@ -315,38 +315,6 @@ def test_verify_fast_counts_the_flow_path():
     assert paths == {"flow": 1}
 
 
-def test_interior_members_skip_only_when_safe():
-    # the K4 {0..3} (density 1) with the triangle {3, 4, 5} hanging off 3
-    g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
-    cs = enumerate_cliques(g, 3)
-    s = (0, 1, 2, 3)
-    degrees = cs.degrees_within(s)
-    assert degrees == [3, 3, 3, 3] and cs.degree[3] == 4
-    den = 6
-    _, hot_at = flow_mod._thresholds(4, 4, den)
-    lower = [den] * 6
-    no_output = [False] * 6
-
-    def interior(lower, output):
-        return flow_mod._interior_members(cs, s, degrees, lower, hot_at,
-                                          output)
-
-    # 3 has a boundary clique, so its cliques are walked
-    assert interior(lower, no_output) == {0, 1, 2}
-    # a hot member (lower bound one step of 1/den above rho) or an output
-    # member can change how a clique inside s is counted: skip nothing
-    hot = lower[:]
-    hot[1] = hot_at
-    assert interior(hot, no_output) == set()
-    output = no_output[:]
-    output[2] = True
-    assert interior(lower, output) == set()
-    # an output vertex outside s does not stop the skip
-    output = no_output[:]
-    output[4] = True
-    assert interior(lower, output) == {0, 1, 2}
-
-
 def test_verify_fast_degrees_match_recomputed():
     # the driver passes the degrees it already has; without them the call
     # computes its own, for s in any order
@@ -368,8 +336,8 @@ def test_verify_fast_degrees_match_recomputed():
     ((0, 1, 2, 3), [3, 3, 3, 3, 0]),     # one degree too many
 ])
 def test_verify_fast_rejects_misaligned_degrees(s, degrees):
-    # given degrees set rho and pick the interior members by position, so a
-    # list that cannot pair with s is refused rather than trusted
+    # given degrees set rho, so a list that cannot pair with s is refused
+    # rather than trusted
     g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
     cs, bounds = _tight_bounds(g, 3)
     assert cs.degrees_within((0, 1, 2, 3)) == [3, 3, 3, 3]
@@ -380,9 +348,11 @@ def test_verify_fast_rejects_misaligned_degrees(s, degrees):
 def test_verify_fast_explores_less_than_whole_graph():
     g = two_k4_bridge_vertex()
     cs, bounds = _tight_bounds(g, 3)
-    # instrument by running the BFS logic indirectly: with core bounds the
-    # bridge vertex (core 0) can never be pulled into the expansion
-    assert verify_fast(g, cs, (0, 1, 2, 3), bounds)
+    # with core bounds the bridge vertex (core 0) is dead, so the expansion
+    # stays at the K4 and accepts it without a network
+    paths = Counter()
+    assert verify_fast(g, cs, (0, 1, 2, 3), bounds, paths=paths)
+    assert paths == {"early_accept": 1}
 
 
 def test_fast_equals_basic_on_self_densest_candidates():
@@ -392,7 +362,9 @@ def test_fast_equals_basic_on_self_densest_candidates():
         g = gnp(rng, rng.randint(4, 9), 0.5)
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            bounds = initialize_bounds(clique_core_numbers(cs), h, h)
+            # core bounds, and the exact compact numbers as both bounds
+            both = (initialize_bounds(clique_core_numbers(cs), h, h),
+                    _exact_bounds(oracle_compact_numbers(g, h)))
             # sample connected candidate sets; keep the self-densest ones
             for comp in connected_components(g):
                 for _ in range(4):
@@ -407,6 +379,7 @@ def test_fast_equals_basic_on_self_densest_candidates():
                     if not is_densest(sub_cs):
                         continue
                     checked += 1
-                    assert verify_fast(g, cs, cand, bounds) == \
-                        verify_basic(g, cs, cand)
+                    basic = verify_basic(g, cs, cand)
+                    for bounds in both:
+                        assert verify_fast(g, cs, cand, bounds) == basic
     assert checked > 50
