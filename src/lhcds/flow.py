@@ -328,16 +328,23 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     """Verification on a bound-guided expansion T of the candidate.
 
     With rho the density of G[s], a vertex is dead when its upper bound is
-    below rho and hot when its lower bound is above it. T is s plus every
-    vertex that T reaches by an edge and that is neither dead nor hot (one
-    whose bound sits exactly at rho can still extend a compact superset).
-    Three rules decide, in this order:
+    below rho and hot when its lower bound is above it. T starts as s plus
+    every vertex that T reaches by an edge and that is neither dead nor hot
+    (one whose bound sits exactly at rho can still extend a compact
+    superset). Three rules decide, in this order:
 
     - a hot neighbor of s outside s rejects the candidate;
     - otherwise T equal to s accepts it;
-    - otherwise the flow runs on the cliques inside T, with every clique
-      that has no dead member and leaves T compensated as a border entry of
-      capacity h/cnt, and must return s as a connected component.
+    - otherwise T also takes in each member that is not hot of every clique
+      with no dead member that touches T, and grows by edges from those,
+      until nothing is added. The flow then runs on the cliques inside T,
+      with every clique that has no dead member and leaves T compensated as
+      a border entry of capacity h/cnt, and must return s as a connected
+      component.
+
+    The third rule adds nothing for h-cliques, whose members are
+    neighbors; it is there for pattern instances, whose members need not
+    be adjacent. Neither early rule walks a clique.
 
     The rules agree with verify_basic when the bounds are valid and G[s] is
     self-densest (no subset of s is denser), as every candidate the driver
@@ -346,7 +353,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     more, that share a vertex or are joined by an edge have a rho-compact
     union, by supermodularity of the clique count (Qin et al., "Locally
     Densest Subgraph Discovery", KDD 2015, for edges; the proof carries over
-    to h-cliques). So:
+    to h-cliques and to pattern instances). So:
 
     - A hot neighbor w lies in a connected set compact above d(s). Its union
       with s is d(s)-compact and larger than s, so s is not maximal.
@@ -354,6 +361,11 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
       U has a vertex u outside s adjacent to s. u's compact number is at
       least d(s), so u is not dead; u is not hot either, or the first rule
       had rejected. So u is in T, which contradicts T = s.
+    - In the flow, every member outside T of a border clique is hot, so it
+      lies in the maximal rho-compact subgraph and the entry rightly counts
+      the clique as whole. With T closed by edges alone, a pattern member
+      reached only through hot members would stay outside T and still be
+      counted as present, and the flow could wrongly reject.
 
     The bound numerators are compared with the exact density rho through
     two integer thresholds computed once per call: a vertex is dead when its
@@ -400,14 +412,36 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
         return True
     paths["flow"] += 1
 
+    # The third rule: close T over the cliques with no dead member that
+    # touch it, and over the edges of the vertices that adds.
+    walked = len(t_list)
+    met = set()
+    live = []
+    for i, v in enumerate(t_list):
+        for cid in cs.incidence[v]:
+            if cid in met:
+                continue
+            met.add(cid)
+            members = cs.cliques[cid]
+            if any(upper[w] <= dead_at for w in members):
+                continue  # a member can never sit in a rho-compact set
+            live.append(cid)
+            for w in members:
+                if w not in in_t and lower[w] < hot_at:
+                    in_t.add(w)
+                    t_list.append(w)
+        if i < walked:
+            continue  # its edges were walked above
+        for w in g.adj[v]:
+            if w not in in_t and lower[w] < hot_at and upper[w] > dead_at:
+                in_t.add(w)
+                t_list.append(w)
+
     t_sorted = sorted(t_list)
     pos = {v: i for i, v in enumerate(t_sorted)}
     border = []
-    for cid in sorted({cid for v in t_sorted for cid in cs.incidence[v]}):
-        members = cs.cliques[cid]
-        if any(upper[w] <= dead_at for w in members):
-            continue  # a member can never sit in a rho-compact set
-        inside = tuple(pos[w] for w in members if w in pos)
+    for cid in sorted(live):
+        inside = tuple(pos[w] for w in cs.cliques[cid] if w in pos)
         if len(inside) < cs.h:
             border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))

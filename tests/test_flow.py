@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import lhcds.flow as flow_mod
 from lhcds import (Bounds, build_network, clique_core_numbers,
-                   connected_components, derive_compact, enumerate_cliques,
-                   enumerate_patterns, induced_subgraph, initialize_bounds,
-                   is_densest, min_cut, oracle_compact_numbers,
-                   oracle_compactness, restrict_cliques, verify_basic,
-                   verify_fast)
+                   compact_numbers, connected_components, derive_compact,
+                   enumerate_cliques, enumerate_patterns, induced_subgraph,
+                   initialize_bounds, is_densest, min_cut,
+                   oracle_compact_numbers, oracle_compactness,
+                   restrict_cliques, verify_basic, verify_fast)
 from lhcds.flow import denser_part
 from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
                           _instance_count_by_mask, _mask_to_tuple)
@@ -358,13 +358,23 @@ def test_verify_fast_explores_less_than_whole_graph():
 def test_fast_equals_basic_on_self_densest_candidates():
     rng = random.Random(2024)
     checked = 0
+    flows = Counter()
     for _ in range(40):
         g = gnp(rng, rng.randint(4, 9), 0.5)
-        for h in (2, 3):
-            cs = enumerate_cliques(g, h)
-            # core bounds, and the exact compact numbers as both bounds
-            both = (initialize_bounds(clique_core_numbers(cs), h, h),
-                    _exact_bounds(oracle_compact_numbers(g, h)))
+        # h-cliques, and patterns, whose members need not be adjacent
+        instance_sets = [enumerate_cliques(g, 2), enumerate_cliques(g, 3)]
+        instance_sets += [enumerate_patterns(g, name)
+                          for name in ("diamond", "4loop", "tailed-triangle")]
+        for cs in instance_sets:
+            if not cs.cliques:
+                continue
+            core = clique_core_numbers(cs)
+            exact = _exact_bounds(compact_numbers(g, cs.cliques))
+            # core bounds, the exact compact numbers as both bounds, and
+            # core upper bounds over exact lower ones
+            kinds = (initialize_bounds(core, cs.h, cs.h), exact,
+                     Bounds(upper=[c * exact.den for c in core],
+                            lower=exact.lower, den=exact.den))
             # sample connected candidate sets; keep the self-densest ones
             for comp in connected_components(g):
                 for _ in range(4):
@@ -380,6 +390,31 @@ def test_fast_equals_basic_on_self_densest_candidates():
                         continue
                     checked += 1
                     basic = verify_basic(g, cs, cand)
-                    for bounds in both:
-                        assert verify_fast(g, cs, cand, bounds) == basic
-    assert checked > 50
+                    for bounds in kinds:
+                        assert verify_fast(g, cs, cand, bounds,
+                                           paths=flows) == basic
+    assert checked > 50 and flows["flow"] > 0
+
+
+def test_verify_fast_closes_over_pattern_instances():
+    # s is a K6 (diamond density 15). a touches the edge 0-1 of s and
+    # the edge b-d of a hot K8; five tips c_i hang off b-d alone. Each
+    # diamond {a, b, d, x} has a neighbor of T (a) and a tip no edge of T
+    # reaches (x); with every x outside T, a would be credited 4 + 6 + 5 =
+    # 15 diamonds and join s. The c_i are neither dead nor hot, so T takes
+    # them in, they drop out, and a keeps 10 < 15.
+    s = tuple(range(6))
+    a, k8, tips = 6, range(7, 15), range(15, 20)
+    b, d = 7, 8
+    edges = clique_edges(s) + clique_edges(k8) + [(a, 0), (a, 1), (a, b),
+                                                  (a, d)]
+    edges += [(c, x) for c in tips for x in (b, d)]
+    g = Graph.from_edges(20, edges)
+    cs = enumerate_patterns(g, "diamond")
+    # K8's compact number is 70 * 6 / 8 = 52.5; everyone else's is below 50
+    lower = [50 if v in k8 else 0 for v in range(20)]
+    bounds = Bounds(upper=[100] * 20, lower=lower, den=1)
+    assert verify_basic(g, cs, s)
+    paths = Counter()
+    assert verify_fast(g, cs, s, bounds, paths=paths)
+    assert paths == {"flow": 1}
