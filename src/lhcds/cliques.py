@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graph import Graph, vertex_set
+from .graph import Graph, VertexSet, vertex_set
 
 
 @dataclass
@@ -60,27 +60,33 @@ class CliqueSet:
     def degrees_within(self, members: Sequence[int]) -> list[int]:
         """Clique degrees inside ``members`` (distinct vertices, any order):
         entry i counts the cliques that lie entirely inside ``members`` and
-        contain ``members[i]``. Each clique is met once, at its smallest
-        member, so the degrees sum to h times the number of such cliques.
+        contain ``members[i]``, so the degrees sum to h times the number of
+        such cliques.
         Raises ValueError for an id outside 0..n-1 or a repeated one."""
         vs = vertex_set(members, len(self.degree))
         if len(vs) != len(members):
             raise ValueError("repeated vertex id")
-        cliques = self.cliques
-        inside = set(vs).__contains__
-        kept = []
-        for v in vs:
-            span = self.led_by(v)
-            kept += [c for c in cliques[span.start:span.stop]
-                     if all(map(inside, c))]
-        hits = Counter(chain.from_iterable(kept))
+        hits = Counter(chain.from_iterable(_cliques_inside(self, vs)))
         return [hits[v] for v in members]
 
     def count_within(self, members: Iterable[int]) -> int:
         """Number of cliques entirely inside ``members``. Raises ValueError
         for an id outside 0..n-1."""
-        vs = vertex_set(members, len(self.degree))
-        return sum(self.degrees_within(vs)) // self.h
+        return len(_cliques_inside(self, vertex_set(members, len(self.degree))))
+
+
+def _cliques_inside(cs: CliqueSet, vs: VertexSet) -> list[tuple[int, ...]]:
+    """The cliques of cs lying entirely inside the VertexSet ``vs``, in id
+    order: each is met once, at its smallest member, and walking the
+    members in order keeps the ids increasing."""
+    cliques = cs.cliques
+    inside = set(vs).__contains__
+    kept: list[tuple[int, ...]] = []
+    for v in vs:
+        span = cs.led_by(v)
+        kept += [c for c in cliques[span.start:span.stop]
+                 if all(map(inside, c))]
+    return kept
 
 
 def _index_cliques(h: int, cliques: list[tuple[int, ...]], n: int) -> CliqueSet:
@@ -135,17 +141,8 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     mlist = vertex_set(members, len(cs.degree))
     if len(mlist) == len(cs.degree):
         return cs
-    pos = {v: i for i, v in enumerate(mlist)}
-    get = pos.get
-    cliques = cs.cliques
-    kept: list[tuple[int, ...]] = []
-    # each clique is met at its smallest member; walking members in order
-    # keeps kept sorted
-    for v in mlist:
-        for cid in cs.led_by(v):
-            mapped = tuple(map(get, cliques[cid]))
-            if None not in mapped:
-                kept.append(mapped)
+    local = {v: i for i, v in enumerate(mlist)}.__getitem__
+    kept = [tuple(map(local, c)) for c in _cliques_inside(cs, mlist)]
     return _index_cliques(cs.h, kept, len(mlist))
 
 

@@ -31,7 +31,7 @@ from math import lcm
 from typing import Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
-from .graph import Graph, VertexSet, connected_components
+from .graph import Graph, VertexSet, connected_components, reach
 from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
 
 
@@ -328,15 +328,17 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     """Verification on a bound-guided expansion T of the candidate.
 
     With rho the density of G[s], a vertex is dead when its upper bound is
-    below rho and hot when its lower bound is above it. T starts as s plus
-    every vertex that T reaches by an edge and that is neither dead nor hot
-    (one whose bound sits exactly at rho can still extend a compact
+    below rho and hot when its lower bound is above it. T starts as
+    ``graph.reach`` from s through the vertices that are neither dead nor
+    hot: s plus every such vertex that an edge path through such vertices
+    reaches (one whose bound sits exactly at rho can still extend a compact
     superset). Three rules decide, in this order:
 
     - a hot neighbor of s outside s rejects the candidate;
     - otherwise T equal to s accepts it;
     - otherwise T also takes in each member that is not hot of every clique
-      with no dead member that touches T, and grows by edges from those,
+      with no dead member that touches T, and grows by edges from those
+      (a further ``graph.reach`` through vertices neither dead nor hot),
       until nothing is added. The flow then runs on the cliques inside T,
       with every clique that has no dead member and leaves T compensated as
       a border entry of capacity h/cnt, and must return s as a connected
@@ -392,52 +394,40 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     dead_at, hot_at = _thresholds(count, len(cand), bounds.den)
     upper, lower = bounds.upper, bounds.lower
 
-    # The members of s come first, so every hot neighbor of s is met before
-    # T grows past s.
-    t_list = list(cand)
-    in_t = set(cand)
-    for i, v in enumerate(t_list):
-        for w in g.adj[v]:
-            if w in in_t:
-                continue
-            if lower[w] >= hot_at:
-                if i < len(cand):
-                    paths["early_reject"] += 1
-                    return False
-            elif upper[w] > dead_at:
-                in_t.add(w)
-                t_list.append(w)
+    cand_set = set(cand)
+    if any(lower[w] >= hot_at for v in cand for w in g.adj[v]
+           if w not in cand_set):
+        paths["early_reject"] += 1
+        return False
+
+    def admit(w: int) -> bool:
+        return lower[w] < hot_at and upper[w] > dead_at
+
+    t_list = reach(g, cand, admit)
     if len(t_list) == len(cand):
         paths["early_accept"] += 1
         return True
     paths["flow"] += 1
 
     # The third rule: close T over the cliques with no dead member that
-    # touch it, and over the edges of the vertices that adds.
-    walked = len(t_list)
-    met = set()
+    # touch it, and walk on by edges from the members that adds, until a
+    # pass adds nothing.
+    in_t = set(t_list)
+    met: set[int] = set()
     live = []
-    for i, v in enumerate(t_list):
-        for cid in cs.incidence[v]:
-            if cid in met:
-                continue
-            met.add(cid)
-            members = cs.cliques[cid]
-            if any(upper[w] <= dead_at for w in members):
-                continue  # a member can never sit in a rho-compact set
-            live.append(cid)
-            for w in members:
-                if w not in in_t and lower[w] < hot_at:
-                    in_t.add(w)
-                    t_list.append(w)
-        if i < walked:
-            continue  # its edges were walked above
-        for w in g.adj[v]:
-            if w not in in_t and lower[w] < hot_at and upper[w] > dead_at:
-                in_t.add(w)
-                t_list.append(w)
+    fresh = t_list
+    while fresh:
+        touched = {cid for v in fresh for cid in cs.incidence[v]} - met
+        met |= touched
+        new_live = [cid for cid in touched
+                    if all(upper[w] > dead_at for w in cs.cliques[cid])]
+        live += new_live
+        seeds = {w for cid in new_live for w in cs.cliques[cid]
+                 if w not in in_t and lower[w] < hot_at}
+        fresh = reach(g, seeds, lambda w: w not in in_t and admit(w))
+        in_t.update(fresh)
 
-    t_sorted = sorted(t_list)
+    t_sorted = sorted(in_t)
     pos = {v: i for i, v in enumerate(t_sorted)}
     border = []
     for cid in sorted(live):

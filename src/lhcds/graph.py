@@ -1,5 +1,9 @@
 """Compact undirected graph: ingestion, induced subgraphs, connected components.
 
+``reach`` is the one breadth-first walk over edges: ``connected_components``
+runs it from each unvisited member, and ``flow.verify_fast`` grows its
+bound-guided expansion with it.
+
 Vertices are dense internal ids 0..n-1. External ids from input files are kept in
 ``labels`` and only matter at I/O boundaries. A Graph is immutable after
 construction and safe for concurrent reads.
@@ -11,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 log = logging.getLogger(__name__)
 
@@ -141,33 +145,34 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
                  labels=tuple(g.labels[v] for v in members))
 
 
+def reach(g: Graph, seeds: Iterable[int],
+          admit: Callable[[int], bool]) -> list[int]:
+    """The seeds in the order given, then every vertex that an edge path
+    through vertices accepted by ``admit`` reaches from them, in
+    breadth-first order; each vertex is listed once. ``admit`` is asked
+    at most once about each vertex, and never about a seed."""
+    order = list(dict.fromkeys(seeds))
+    seen = set(order)
+    for v in order:
+        for w in g.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                if admit(w):
+                    order.append(w)
+    return order
+
+
 def connected_components(g: Graph, members: Iterable[int] | None = None
                          ) -> list[VertexSet]:
     """Partition ``members`` (default: all of V) into the maximal connected
     sets of g restricted to them, ordered by smallest member. Raises
     ValueError for a member outside 0..n-1."""
-    if members is None:
-        starts: Iterable[int] = range(g.n)
-        unseen = bytearray(b"\1") * g.n
-    else:
-        starts = vertex_set(members, g.n)
-        unseen = bytearray(g.n)
-        for v in starts:
-            unseen[v] = 1
+    starts = range(g.n) if members is None else vertex_set(members, g.n)
+    left = set(starts)
     comps: list[VertexSet] = []
     for start in starts:
-        if not unseen[start]:
-            continue
-        unseen[start] = 0
-        stack = [start]
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if unseen[w]:
-                    unseen[w] = 0
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+        if start in left:
+            comp = reach(g, (start,), left.__contains__)
+            left.difference_update(comp)
+            comps.append(tuple(sorted(comp)))
     return comps
-

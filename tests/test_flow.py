@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lhcds.flow as flow_mod
-from lhcds import (Bounds, build_network, clique_core_numbers,
+from lhcds import (Bounds, CliqueSet, build_network, clique_core_numbers,
                    compact_numbers, connected_components, derive_compact,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
                    initialize_bounds, is_densest, min_cut,
@@ -315,6 +315,45 @@ def test_verify_fast_counts_the_flow_path():
     assert paths == {"flow": 1}
 
 
+class _Unwalkable(CliqueSet):
+    """A clique set whose incidence lists raise when read: a call that
+    walks a clique from a vertex fails."""
+
+    @property
+    def incidence(self):
+        raise AssertionError("walked a clique")
+
+    @incidence.setter
+    def incidence(self, value):
+        pass
+
+
+def _unwalkable(cs):
+    return _Unwalkable(h=cs.h, cliques=cs.cliques, degree=cs.degree,
+                       incidence=None)
+
+
+@pytest.mark.parametrize("g, s, path", [
+    (two_k4_bridge_vertex(), (0, 1, 2, 3), "early_accept"),
+    (k5_k4_bridge_edge(), (5, 6, 7, 8), "early_reject"),
+])
+def test_verify_fast_early_paths_walk_no_clique(g, s, path):
+    cs, bounds = _tight_bounds(g, 3)
+    paths = Counter()
+    assert verify_fast(g, _unwalkable(cs), s, bounds, paths=paths) == \
+        verify_basic(g, cs, s)
+    assert paths == {path: 1}
+
+
+def test_verify_fast_flow_path_walks_cliques():
+    # the guard above bites: the flow path reads the incidence lists
+    g = two_k4_bridge_vertex()
+    cs = enumerate_cliques(g, 3)
+    bounds = Bounds(upper=[1] * 9, lower=[0] * 9, den=1)
+    with pytest.raises(AssertionError, match="walked a clique"):
+        verify_fast(g, _unwalkable(cs), (0, 1, 2, 3), bounds)
+
+
 def test_verify_fast_degrees_match_recomputed():
     # the driver passes the degrees it already has; without them the call
     # computes its own, for s in any order
@@ -414,6 +453,37 @@ def test_verify_fast_closes_over_pattern_instances():
     # K8's compact number is 70 * 6 / 8 = 52.5; everyone else's is below 50
     lower = [50 if v in k8 else 0 for v in range(20)]
     bounds = Bounds(upper=[100] * 20, lower=lower, den=1)
+    assert verify_basic(g, cs, s)
+    paths = Counter()
+    assert verify_fast(g, cs, s, bounds, paths=paths)
+    assert paths == {"flow": 1}
+
+
+def test_verify_fast_closes_over_instances_until_nothing_is_added():
+    # s is a K6 (diamond density 15) and a touches its edge 0-1 and the
+    # edge b-d of a hot K12. The tip c hangs off b-d and off the edge p-q
+    # that joins two hot K7s; five tips y_i hang off p-q alone. T takes in
+    # c through the diamond {a, b, d, c}, and the y_i only through the
+    # diamonds {c, p, q, y_i}, which touch T at c alone. With the y_i left
+    # outside T, c would be credited 10 + 1 + 5 = 16 diamonds and a 4 + 10
+    # + 1 = 15, enough for both to join s. The y_i are neither dead nor
+    # hot, so a second closure step takes them in, they drop out, and so
+    # do c and a.
+    s = tuple(range(6))
+    a, k12, k7, k7b = 6, range(7, 19), range(19, 26), range(26, 33)
+    c, ys = 33, range(34, 39)
+    b, d, p, q = 7, 8, 19, 26
+    edges = clique_edges(s) + clique_edges(k12) + clique_edges(k7) + \
+        clique_edges(k7b) + [(a, 0), (a, 1), (a, b), (a, d), (p, q)]
+    edges += [(c, x) for x in (b, d, p, q)] + [(y, x) for y in ys
+                                               for x in (p, q)]
+    g = Graph.from_edges(39, edges)
+    cs = enumerate_patterns(g, "diamond")
+    # the K7s' compact numbers are 30 and the K12's 247.5; the rest are
+    # at most 15
+    hot = set(k12) | set(k7) | set(k7b)
+    lower = [16 if v in hot else 0 for v in range(39)]
+    bounds = Bounds(upper=[300] * 39, lower=lower, den=1)
     assert verify_basic(g, cs, s)
     paths = Counter()
     assert verify_fast(g, cs, s, bounds, paths=paths)

@@ -1,10 +1,11 @@
 import io
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
 from lhcds import Graph, connected_components, induced_subgraph, parse_edge_list
-from lhcds.graph import vertex_set
+from lhcds.graph import reach, vertex_set
 from helpers import (clique_edges, degeneracy_order_heap, gnp, k_n, path_n,
                      planted, star, triangle, two_k4_bridge_edge)
 import random
@@ -183,3 +184,59 @@ def test_components_partition_and_order_determinism(seed, n):
     flat = sorted(v for comp in comps for v in comp)
     assert flat == list(range(n))
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((v, w) for v in range(g.n) for w in g.adj[v] if v < w)
+    return h
+
+
+@given(edge_graphs(), st.data())
+def test_components_match_networkx(g, data):
+    members = data.draw(st.none() | st.sets(st.integers(0, max(g.n - 1, 0)),
+                                            max_size=g.n))
+    sub = _nx(g).subgraph(range(g.n) if members is None else members)
+    want = sorted(tuple(sorted(c)) for c in nx.connected_components(sub))
+    assert connected_components(g, members) == want
+
+
+def test_reach_seeds_first_then_breadth_first():
+    # path 0-1-2-3-4-5 plus the chord 0-5; seeds 3 then 0 (twice)
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    assert reach(g, [3, 0, 3], lambda w: True) == [3, 0, 2, 4, 1, 5]
+    # 1 is not admitted, so 2 is reached from 3 only and nothing from 1
+    assert reach(g, [0], lambda w: w != 1) == [0, 5, 4, 3, 2]
+    assert reach(g, [], lambda w: True) == []
+
+
+def test_reach_asks_once_per_vertex_and_never_about_seeds():
+    # in K5 every seed meets every other vertex; 4 is refused
+    asked = []
+
+    def admit(w):
+        asked.append(w)
+        return w != 4
+
+    assert reach(k_n(5), [2, 1], admit) == [2, 1, 0, 3]
+    assert sorted(asked) == [0, 3, 4]
+
+
+@given(edge_graphs(), st.data())
+def test_reach_is_a_breadth_first_walk_through_admitted_vertices(g, data):
+    ids = st.integers(0, max(g.n - 1, 0))
+    seeds = data.draw(st.lists(ids, max_size=5)) if g.n else []
+    admitted = data.draw(st.sets(ids, max_size=g.n))
+    got = reach(g, seeds, admitted.__contains__)
+    first = list(dict.fromkeys(seeds))
+    assert got[:len(first)] == first
+    assert len(set(got)) == len(got)
+    assert admitted.issuperset(got[len(first):])
+    # every vertex in a piece of G[seeds + admitted] that holds a seed, at
+    # non-decreasing distance from the seeds
+    h = _nx(g).subgraph(admitted.union(seeds)).copy()
+    h.add_edges_from(("src", v) for v in first)
+    dist = nx.single_source_shortest_path_length(h, "src") if first else {}
+    assert set(got) == set(dist) - {"src"}
+    assert [dist[v] for v in got] == sorted(dist[v] for v in got)
