@@ -323,7 +323,7 @@ def verify_basic(g: Graph, cs: CliqueSet, s: Sequence[int]) -> bool:
 
 
 def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
-                *, degrees: Sequence[int] | None = None,
+                *, count: int | None = None,
                 paths: Counter[str] | None = None) -> bool:
     """Verification on a bound-guided expansion T of the candidate.
 
@@ -334,7 +334,7 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     reaches (one whose bound sits exactly at rho can still extend a compact
     superset). Three rules decide, in this order:
 
-    - a hot neighbor of s outside s rejects the candidate;
+    - a hot neighbor of a member of s, in s or not, rejects the candidate;
     - otherwise T equal to s accepts it;
     - otherwise T also takes in each member that is not hot of every clique
       with no dead member that touches T, and grows by edges from those
@@ -357,8 +357,12 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     Densest Subgraph Discovery", KDD 2015, for edges; the proof carries over
     to h-cliques and to pattern instances). So:
 
-    - A hot neighbor w lies in a connected set compact above d(s). Its union
-      with s is d(s)-compact and larger than s, so s is not maximal.
+    - A hot w lies in a connected set W compact above d(s), so denser than
+      s; W is not inside s, as no subset of s is denser. A hot neighbor w
+      outside s joins W to s by an edge, and one in s (every member is
+      another member's neighbor, as s is connected and holds a clique) is
+      shared by both. Either way the union is d(s)-compact and larger than
+      s, so s is not maximal.
     - If T is s, suppose a connected d(s)-compact U larger than s exists.
       U has a vertex u outside s adjacent to s. u's compact number is at
       least d(s), so u is not dead; u is not hot either, or the first rule
@@ -374,10 +378,8 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     upper numerator is at most the largest numerator below rho, and hot when
     its lower numerator is at least the smallest numerator above it.
 
-    ``degrees[i]`` is the number of cliques inside s that hold ``s[i]``
-    (``CliqueSet.degrees_within(s)``); it is computed when not given. Given
-    degrees set rho, so they are taken only with s in strictly increasing
-    order and of the same length: otherwise a ValueError.
+    ``count`` is the number of cliques inside s
+    (``CliqueSet.count_within(s)``); it is computed when not given.
 
     When ``paths`` is given, its key ``"early_accept"``, ``"early_reject"``
     or ``"flow"`` is incremented by how the call decided.
@@ -385,18 +387,13 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     cand = _candidate_set(g, s)
     if paths is None:
         paths = Counter()
-    if degrees is None:
-        degrees = cs.degrees_within(cand)
-    elif len(degrees) != len(cand) or tuple(s) != cand:
-        raise ValueError("degrees need s sorted, distinct and of their length")
-    count = sum(degrees) // cs.h
+    if count is None:
+        count = cs.count_within(cand)
     rho = Fraction(count, len(cand))
     dead_at, hot_at = _thresholds(count, len(cand), bounds.den)
     upper, lower = bounds.upper, bounds.lower
 
-    cand_set = set(cand)
-    if any(lower[w] >= hot_at for v in cand for w in g.adj[v]
-           if w not in cand_set):
+    if any(lower[w] >= hot_at for v in cand for w in g.adj[v]):
         paths["early_reject"] += 1
         return False
 

@@ -6,6 +6,11 @@ subset is a scan over its proper submasks, all in exact integer or rational
 arithmetic. Hard caps on n keep the exponential blowup honest; this module
 exists for tests and cross-checking only.
 
+For n <= 12, ``compact_table`` is the one subset table: every mask's
+instance count and every connected mask's compactness, each computed once.
+Compact numbers and the enumeration (its candidates, superset scan and
+self-check) both read it; ``compactness`` scores one full mask, n <= 15.
+
 The generic "instances" entry points accept any list of vertex tuples
 (h-cliques, 4-vertex pattern instances, plain edges), so every density
 notion in the package shares one oracle. Each checks its cap before it
@@ -98,26 +103,34 @@ def compactness(g: Graph, instances: Sequence[tuple[int, ...]]) -> Fraction:
     return _compactness_of_mask(count, full)
 
 
-def compact_numbers(g: Graph, instances: Sequence[tuple[int, ...]]) -> list[Fraction]:
-    """Per-vertex largest rho over connected supersets: the compact number.
-    Requires n <= 12."""
+def compact_table(g: Graph, instances: Sequence[tuple[int, ...]]
+                  ) -> tuple[list[int], dict[int, Fraction]]:
+    """The subset table of g: ``count[X]`` is the number of instances inside
+    mask X, and ``compact`` maps each connected mask, in increasing mask
+    order, to its compactness. Requires n <= 12."""
     if g.n > _NUMBERS_CAP:
-        raise ValueError(f"oracle compact numbers capped at n <= {_NUMBERS_CAP}")
+        raise ValueError(f"oracle subset table capped at n <= {_NUMBERS_CAP}")
     adj = _adj_masks(g)
     count = _instance_count_by_mask(g.n, instances)
-    phi = [Fraction(0)] * g.n
-    for mask in range(1, 1 << g.n):
-        if not _connected(adj, mask):
-            continue
-        c = _compactness_of_mask(count, mask)
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
+    compact = {mask: _compactness_of_mask(count, mask)
+               for mask in range(1, 1 << g.n) if _connected(adj, mask)}
+    return count, compact
+
+
+def _phi(n: int, compact: dict[int, Fraction]) -> list[Fraction]:
+    """Each vertex's largest compactness over the connected masks holding it."""
+    phi = [Fraction(0)] * n
+    for mask, c in compact.items():
+        for v in _mask_to_tuple(mask):
             if c > phi[v]:
                 phi[v] = c
     return phi
+
+
+def compact_numbers(g: Graph, instances: Sequence[tuple[int, ...]]) -> list[Fraction]:
+    """Per-vertex largest rho over connected supersets: the compact number.
+    Requires n <= 12."""
+    return _phi(g.n, compact_table(g, instances)[1])
 
 
 def lhcds_enumeration(g: Graph, instances: Sequence[tuple[int, ...]]
@@ -130,41 +143,24 @@ def lhcds_enumeration(g: Graph, instances: Sequence[tuple[int, ...]]
     Internally asserts that every member's compact number equals the density.
     Requires n <= 12.
     """
-    n = g.n
-    if n > _NUMBERS_CAP:
-        raise ValueError(f"oracle enumeration capped at n <= {_NUMBERS_CAP}")
-    adj = _adj_masks(g)
-    count = _instance_count_by_mask(n, instances)
-    full = (1 << n) - 1
-
-    connected = [False] * (1 << n)
-    compact: dict[int, Fraction] = {}
-    for mask in range(1, 1 << n):
-        if _connected(adj, mask):
-            connected[mask] = True
-            compact[mask] = _compactness_of_mask(count, mask)
-
-    phi = None
+    count, compact = compact_table(g, instances)
+    full = (1 << g.n) - 1
+    phi = _phi(g.n, compact)
     results: list[tuple[VertexSet, Fraction]] = []
-    for mask in range(1, 1 << n):
-        if not connected[mask] or count[mask] == 0:
+    for mask, c in compact.items():
+        if count[mask] == 0:
             continue
         density = Fraction(count[mask], mask.bit_count())
-        if compact[mask] != density:
+        if c != density:
             continue
         # maximality: no connected strict superset stays density-compact
+        # (a mask missing from the table is not connected; density > 0)
         rest = full & ~mask
-        maximal = True
         sup = rest
-        while sup and maximal:
-            cand = mask | sup
-            if connected[cand] and compact[cand] >= density:
-                maximal = False
+        while sup and compact.get(mask | sup, 0) < density:
             sup = (sup - 1) & rest
-        if not maximal:
+        if sup:
             continue
-        if phi is None:
-            phi = compact_numbers(g, instances)
         members = _mask_to_tuple(mask)
         for v in members:
             if phi[v] != density:

@@ -38,9 +38,10 @@ self-densest by that count alone (the certificate in
 network. Any other candidate costs one flow solve on its restricted cliques:
 the witness ``flow.denser_part`` is empty iff S is self-densest, and
 otherwise it is the split. Each candidate and piece carries its members'
-clique degrees inside it from the one ``CliqueSet.degrees_within`` walk that
-counts its cliques. The equal-degree test reads them, and so does
-``flow.verify_fast``, which takes the density it verifies from them.
+clique degrees inside it and its clique count, both from one
+``CliqueSet.degrees_within`` walk. The equal-degree test reads the degrees,
+and ``flow.verify_fast`` takes the count, the numerator of the density it
+verifies.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _verify(g: Graph, cs: CliqueSet, cand: _Candidate, bounds: Bounds,
         if not cfg.cross_check:
             return basic
     paths: Counter[str] = Counter()
-    fast = verify_fast(g, cs, s, bounds, degrees=cand.degrees, paths=paths)
+    fast = verify_fast(g, cs, s, bounds, count=cand.clique_count, paths=paths)
     stats.verify_early_accept += paths["early_accept"]
     stats.verify_early_reject += paths["early_reject"]
     stats.verify_flow += paths["flow"]

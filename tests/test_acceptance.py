@@ -19,8 +19,7 @@ from lhcds import (PipelineConfig, RunStats, enumerate_cliques, ippv,
                    ippv_pattern, is_densest, derive_compact,
                    oracle_compact_numbers, oracle_lhcds, Graph)
 from lhcds.cli import main as cli_main
-from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
-                          _instance_count_by_mask, _mask_to_tuple)
+from lhcds.oracle import _mask_to_tuple, compact_table
 from helpers import (clique_edges, gnp, k_n, lds_bruteforce, suite_graphs,
                      thirteen_triangles, two_k4_bridge_vertex)
 
@@ -102,10 +101,7 @@ def test_criterion_03_derive_compact_exactness():
         n = g.n
         for h in (2, 3, 4):
             cs = enumerate_cliques(g, h)
-            adj = _adj_masks(g)
-            count = _instance_count_by_mask(n, cs.cliques)
-            compact = {m: _compactness_of_mask(count, m)
-                       for m in range(1, 1 << n) if _connected(adj, m)}
+            count, compact = compact_table(g, cs.cliques)
             densities = {Fraction(count[m], m.bit_count())
                          for m in compact if count[m] > 0}
             for rho in densities:

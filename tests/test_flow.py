@@ -14,8 +14,7 @@ from lhcds import (Bounds, CliqueSet, build_network, clique_core_numbers,
                    oracle_compact_numbers, oracle_compactness,
                    restrict_cliques, verify_basic, verify_fast)
 from lhcds.flow import denser_part
-from lhcds.oracle import (_adj_masks, _compactness_of_mask, _connected,
-                          _instance_count_by_mask, _mask_to_tuple)
+from lhcds.oracle import _mask_to_tuple, compact_table
 from helpers import (clique_edges, gnp, k4_pendant, k5_k4_bridge_edge, k_n,
                      triangle, two_k4_bridge_edge, two_k4_bridge_vertex)
 
@@ -122,10 +121,7 @@ def test_derive_compact_matches_subset_oracle():
         n = g.n
         for h in (2, 3):
             cs = enumerate_cliques(g, h)
-            adj = _adj_masks(g)
-            count = _instance_count_by_mask(n, cs.cliques)
-            comp = {m: _compactness_of_mask(count, m)
-                    for m in range(1, 1 << n) if _connected(adj, m)}
+            count, comp = compact_table(g, cs.cliques)
             densities = {Fraction(count[m], m.bit_count())
                          for m in comp if count[m] > 0}
             for rho in densities:
@@ -168,11 +164,8 @@ def test_equal_degree_sets_are_self_densest(g, kind):
     # instances has no denser subset, and denser_part finds none
     cs = enumerate_cliques(g, kind) if isinstance(kind, int) \
         else enumerate_patterns(g, kind)
-    adj = _adj_masks(g)
-    count = _instance_count_by_mask(g.n, cs.cliques)
-    for mask in range(1, 1 << g.n):
-        if not _connected(adj, mask):
-            continue
+    count, compact = compact_table(g, cs.cliques)
+    for mask in compact:
         s = _mask_to_tuple(mask)
         degrees = cs.degrees_within(s)
         if min(degrees) != max(degrees):
@@ -355,33 +348,36 @@ def test_verify_fast_flow_path_walks_cliques():
 
 
 def test_verify_fast_degrees_match_recomputed():
-    # the driver passes the degrees it already has; without them the call
-    # computes its own, for s in any order
+    # the driver passes the clique count it already has; without it the
+    # call counts its own. Either way, for s in any order, the verdict and
+    # the path are the same
     g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
     cs, bounds = _tight_bounds(g, 3)
-    s = (0, 1, 2, 3)
-    for given_degrees in (None, cs.degrees_within(s)):
-        paths = Counter()
-        assert verify_fast(g, cs, s, bounds, degrees=given_degrees,
-                           paths=paths) == verify_basic(g, cs, s)
-    assert verify_fast(g, cs, (3, 1, 0, 2), bounds) == \
-        verify_fast(g, cs, s, bounds, degrees=cs.degrees_within(s))
+    want = verify_basic(g, cs, (0, 1, 2, 3))
+    for s in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 0, 1)):
+        for count in (None, cs.count_within(s)):
+            paths = Counter()
+            assert verify_fast(g, cs, s, bounds, count=count,
+                               paths=paths) == want
+            assert paths == {"flow": 1}
 
 
-@pytest.mark.parametrize("s, degrees", [
-    ((3, 1, 0, 2), [3, 3, 3, 3]),        # unsorted s, degrees of sorted(s)
-    ((0, 1, 1, 2, 3), [3, 3, 3, 3, 3]),  # a repeated member
-    ((0, 1, 2, 3), [3, 3, 3]),           # one degree short
-    ((0, 1, 2, 3), [3, 3, 3, 3, 0]),     # one degree too many
-])
-def test_verify_fast_rejects_misaligned_degrees(s, degrees):
-    # given degrees set rho, so a list that cannot pair with s is refused
-    # rather than trusted
-    g = Graph.from_edges(6, clique_edges(range(4)) + clique_edges((3, 4, 5)))
-    cs, bounds = _tight_bounds(g, 3)
-    assert cs.degrees_within((0, 1, 2, 3)) == [3, 3, 3, 3]
-    with pytest.raises(ValueError):
-        verify_fast(g, cs, s, bounds, degrees=degrees)
+def test_verify_fast_hot_member_rejects_early():
+    # s is the triangle {4, 5, 6} (density 1/3) hanging off the K5 {0..4}.
+    # Only 4, a member of s, has its exact lower bound (2); every other
+    # lower bound is 0, so no neighbor outside s is hot. The hot member
+    # alone shows s is not maximal, with no network built
+    g = Graph.from_edges(7, clique_edges(range(5)) + clique_edges((4, 5, 6)))
+    cs = enumerate_cliques(g, 3)
+    phi = oracle_compact_numbers(g, 3)
+    assert phi == [2] * 5 + [Fraction(1, 2)] * 2
+    exact = _exact_bounds(phi)
+    lower = [x if v == 4 else 0 for v, x in enumerate(exact.lower)]
+    bounds = Bounds(upper=exact.upper, lower=lower, den=exact.den)
+    assert not verify_basic(g, cs, (4, 5, 6))
+    paths = Counter()
+    assert not verify_fast(g, cs, (4, 5, 6), bounds, paths=paths)
+    assert paths == {"early_reject": 1}
 
 
 def test_verify_fast_explores_less_than_whole_graph():

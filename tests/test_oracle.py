@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from lhcds import (Graph, compact_numbers, compactness, enumerate_cliques,
                    induced_subgraph, oracle_compact_numbers, oracle_compactness,
                    oracle_lhcds)
 import lhcds.oracle as oracle_mod
-from lhcds.oracle import lhcds_enumeration
+from lhcds.oracle import compact_table, lhcds_enumeration
 from helpers import clique_edges, gnp, k_n, path_n, triangle, \
     two_k4_bridge_vertex
 
@@ -35,15 +36,39 @@ def test_compact_numbers_examples():
         oracle_compact_numbers(k_n(13), 3)
 
 
-def test_instance_entry_points_enforce_caps():
+def test_instance_entry_points_enforce_caps(monkeypatch):
     # one vertex past each cap: the 2^n tables are never built
+    for helper in ("_adj_masks", "_instance_count_by_mask"):
+        monkeypatch.setattr(oracle_mod, helper,
+                            lambda *a: pytest.fail("built a table"))
     with pytest.raises(ValueError, match="n <= 15"):
         compactness(path_n(16), enumerate_cliques(path_n(16), 2).cliques)
     edges = enumerate_cliques(path_n(13), 2).cliques
-    with pytest.raises(ValueError, match="n <= 12"):
-        compact_numbers(path_n(13), edges)
-    with pytest.raises(ValueError, match="n <= 12"):
-        lhcds_enumeration(path_n(13), edges)
+    for entry in (compact_table, compact_numbers, lhcds_enumeration):
+        with pytest.raises(ValueError, match="n <= 12"):
+            entry(path_n(13), edges)
+
+
+def test_enumeration_scores_each_connected_mask_once(monkeypatch):
+    # one compactness per connected vertex subset, shared by the candidates,
+    # the superset scan and the compact-number self-check
+    rng = random.Random(7)
+    g = gnp(rng, 8, 0.5)
+    cliques = enumerate_cliques(g, 3).cliques
+    nxg = nx.Graph((v, w) for v in range(g.n) for w in g.adj[v])
+    nxg.add_nodes_from(range(g.n))
+    connected = [m for m in range(1, 1 << g.n)
+                 if nx.is_connected(nxg.subgraph(oracle_mod._mask_to_tuple(m)))]
+    scored = []
+    real = oracle_mod._compactness_of_mask
+
+    def counting(count, mask):
+        scored.append(mask)
+        return real(count, mask)
+
+    monkeypatch.setattr(oracle_mod, "_compactness_of_mask", counting)
+    assert lhcds_enumeration(g, cliques)  # one result at least
+    assert scored == connected
 
 
 def test_wrappers_reject_before_listing(monkeypatch):

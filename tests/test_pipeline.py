@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from lhcds import (PipelineConfig, RunStats, enumerate_cliques, flow, ippv,
-                   ippv_pattern, oracle_lhcds, verify_basic)
+                   ippv_pattern, oracle_compact_numbers, oracle_lhcds,
+                   verify_basic)
 from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
                      triangle, two_k4_bridge_vertex)
 
@@ -49,6 +50,32 @@ def test_emit_all_matches_oracle():
         for h in (2, 3):
             got = ippv(g, PipelineConfig(h=h, k=1, emit_all=True))
             assert sorted(_members(got)) == sorted(oracle_lhcds(g, h))
+
+
+@pytest.mark.time_limit(60)  # took about 4 s when measured
+def test_emit_all_matches_oracle_at_its_cap():
+    # the acceptance suite stops at 10 vertices; these are 11 and 12, the
+    # oracle's cap. Every set emit_all finds with cross_check is the
+    # oracle's, and the bounds of every round bracket the compact numbers
+    rng = random.Random(1122)
+    runs = 0
+    for i in range(10):
+        g = gnp(rng, 11 + i % 2, (0.3, 0.5, 0.7)[i % 3])
+        for h in (2, 3, 4):
+            phi = oracle_compact_numbers(g, h)
+            events = []
+            stats = RunStats()
+            got = ippv(g, PipelineConfig(h=h, k=1, emit_all=True,
+                                         cross_check=True),
+                       stats=stats, on_round=events.append)
+            assert sorted(_members(got)) == sorted(oracle_lhcds(g, h))
+            assert stats.verify_disagreements == 0
+            for ev in events:
+                b = ev.bounds
+                assert all(b.lower[v] <= phi[v] * b.den <= b.upper[v]
+                           for v in range(g.n))
+            runs += bool(got)
+    assert runs > 20
 
 
 def test_modes_agree():

@@ -192,14 +192,14 @@ def test_equal_degree_certificate_changes_nothing(seed, monkeypatch):
 @pytest.mark.time_limit(60)
 def test_driver_verifications_agree(monkeypatch):
     # Every fast verification the driver makes on the 40 planted graphs,
-    # run again without the driver's degrees and by the whole-graph flow.
-    # All three verdicts agree, and the call without degrees decides by the
-    # same path.
+    # run again without the driver's clique count and by the whole-graph
+    # flow. All three verdicts agree, and the call without the count decides
+    # by the same path.
     real_verify = flow.verify_fast
     seen = Counter()
 
-    def checking(g, cs, s, bounds, *, degrees, paths):
-        got = real_verify(g, cs, s, bounds, degrees=degrees, paths=paths)
+    def checking(g, cs, s, bounds, *, count, paths):
+        got = real_verify(g, cs, s, bounds, count=count, paths=paths)
         plain = Counter()
         assert real_verify(g, cs, s, bounds, paths=plain) == got
         assert plain == paths
