@@ -78,14 +78,17 @@ class CliqueSet:
 def _cliques_inside(cs: CliqueSet, vs: VertexSet) -> list[tuple[int, ...]]:
     """The cliques of cs lying entirely inside the VertexSet ``vs``, in id
     order: each is met once, at its smallest member, and walking the
-    members in order keeps the ids increasing."""
+    members in order keeps the ids increasing. A member in no clique leads
+    none, so its range search is skipped."""
     cliques = cs.cliques
     inside = set(vs).__contains__
+    degree = cs.degree
     kept: list[tuple[int, ...]] = []
     for v in vs:
-        span = cs.led_by(v)
-        kept += [c for c in cliques[span.start:span.stop]
-                 if all(map(inside, c))]
+        if degree[v]:
+            span = cs.led_by(v)
+            kept += [c for c in cliques[span.start:span.stop]
+                     if all(map(inside, c))]
     return kept
 
 
@@ -153,9 +156,13 @@ def clique_core_numbers(cs: CliqueSet,
     core[u] is the largest k such that u survives in the subgraph where every
     vertex lies in at least k live cliques. With an ``alive`` mask, only the
     vertices v with a true ``alive[v]`` take part: a clique with a dead member
-    does not count, and dead vertices get core 0. Peeling runs over degree
-    buckets (Batagelj and Zaversnik); core numbers do not depend on the order
-    in which equal-degree vertices peel.
+    does not count, and dead vertices get core 0. ``buckets[d]`` lists each
+    vertex whose clique degree became d, at the start or after a decrement,
+    and d runs upward: an entry whose degree has fallen since is stale and is
+    skipped. Degrees only fall, and never below the level being peeled, so a
+    vertex is taken once, at its final degree, and the buckets hold at most
+    n + (h-1) * |cliques| entries. Core numbers do not depend on the order in
+    which equal-degree vertices peel.
     """
     n = len(cs.degree)
     cliques = cs.cliques
@@ -175,43 +182,23 @@ def clique_core_numbers(cs: CliqueSet,
                     for u in cliques[cid]:
                         deg[u] -= 1
 
-    # vert lists the vertices by current degree; bin[d] is where degree d
-    # starts in it and pos[v] is v's index
     top = max((deg[v] for v in verts), default=0)
-    bin_ = [0] * (top + 2)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v in verts:
-        bin_[deg[v] + 1] += 1
-    for d in range(1, top + 2):
-        bin_[d] += bin_[d - 1]
-    pos = [0] * n
-    vert = [0] * len(verts)
-    fill = bin_[:]
-    for v in verts:
-        i = fill[deg[v]]
-        fill[deg[v]] = i + 1
-        pos[v] = i
-        vert[i] = v
-
-    for v in vert:
-        dv = deg[v]
-        for cid in incidence[v]:
-            if not live[cid]:
+        buckets[deg[v]].append(v)
+    for d, bucket in enumerate(buckets):
+        for v in bucket:  # also reads the entries appended while it runs
+            if deg[v] != d:
                 continue
-            live[cid] = 0
-            for u in cliques[cid]:
-                du = deg[u]
-                if du > dv:
-                    # move u to the front of its bucket, then shrink the bucket
-                    pu = pos[u]
-                    pw = bin_[du]
-                    w = vert[pw]
-                    if w != u:
-                        vert[pu] = w
-                        pos[w] = pu
-                        vert[pw] = u
-                        pos[u] = pw
-                    bin_[du] = pw + 1
-                    deg[u] = du - 1
+            for cid in incidence[v]:
+                if not live[cid]:
+                    continue
+                live[cid] = 0
+                for u in cliques[cid]:
+                    du = deg[u]
+                    if du > d:
+                        deg[u] = du - 1
+                        buckets[du - 1].append(u)
     return deg
 
 

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from lhcds import (PATTERN_NAMES, Graph, clique_core_numbers,
+from lhcds import (PATTERN_NAMES, CliqueSet, Graph, clique_core_numbers,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
                    init_weights, initialize_bounds, oracle_compact_numbers,
                    restrict_cliques)
@@ -28,6 +28,19 @@ def _seeded_sets(kind, count=12):
     rng = random.Random(f"cores-{kind}")
     for _ in range(count):
         g = gnp(rng, rng.randint(4, 13), rng.choice([0.3, 0.5, 0.7]))
+        yield rng, g, _instances(g, kind)
+
+
+def _core_sets(kind):
+    """_seeded_sets, then three 150-vertex planted graphs. 3star keeps the
+    small graphs alone: its instance count grows with the cube of the
+    degree."""
+    yield from _seeded_sets(kind)
+    if kind == "3star":
+        return
+    rng = random.Random(f"planted-cores-{kind}")
+    for seed in (1, 2, 3):
+        g = planted(seed, n=150, m=600, blocks=6, size_lo=5, size_hi=12, p=0.7)
         yield rng, g, _instances(g, kind)
 
 
@@ -217,7 +230,7 @@ def test_core_vertices_retain_core_degree():
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
 def test_core_numbers_match_iterated_k_core(kind):
     repeats = 0
-    for _rng, g, cs in _seeded_sets(kind):
+    for _rng, g, cs in _core_sets(kind):
         assert clique_core_numbers(cs) == core_bruteforce(g.n, cs.cliques)
         repeats += len(cs.cliques) - len(set(cs.cliques))
     if kind in ("diamond", "3star"):
@@ -226,13 +239,26 @@ def test_core_numbers_match_iterated_k_core(kind):
 
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
 def test_core_numbers_under_alive_mask(kind):
-    for rng, g, cs in _seeded_sets(kind):
+    for rng, g, cs in _core_sets(kind):
         alive = bytearray(rng.random() < 0.7 for _ in range(g.n))
         survivors = [v for v in range(g.n) if alive[v]]
         want = clique_core_numbers(restrict_cliques(cs, survivors))
         core = clique_core_numbers(cs, alive)
         assert [core[v] for v in survivors] == want
         assert all(core[v] == 0 for v in range(g.n) if not alive[v])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_core_numbers_at_h2_match_networkx(seed):
+    # at h = 2 the clique core is the ordinary k-core, on graphs far past
+    # the reach of the iterated-deletion reference
+    g = planted(seed, n=3000, m=9000, blocks=20, size_lo=10, size_hi=30, p=0.7)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+    want = nx.core_number(nxg)
+    assert clique_core_numbers(enumerate_cliques(g, 2)) == \
+        [want[v] for v in range(g.n)]
 
 
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
@@ -267,6 +293,21 @@ def test_degrees_within_matches_bruteforce(kind):
                 [sum(v in c for c in inside) for v in members]
             assert cs.count_within(members) == len(inside)
         assert cs.degrees_within(range(g.n)) == cs.degree
+
+
+def test_clique_free_members_skip_the_range_search(monkeypatch):
+    # a K4 with a pendant path: 4, 5 and 6 lie in no triangle, so they lead
+    # none and the walk over a member set searches no range for them
+    g = Graph.from_edges(7, [*combinations(range(4), 2), (3, 4), (4, 5), (5, 6)])
+    cs = enumerate_cliques(g, 3)
+    searched = []
+    led_by = CliqueSet.led_by
+    monkeypatch.setattr(CliqueSet, "led_by",
+                        lambda self, v: searched.append(v) or led_by(self, v))
+    assert cs.degrees_within(range(7)) == [3, 3, 3, 3, 0, 0, 0]
+    assert cs.count_within(range(7)) == 4
+    assert restrict_cliques(cs, range(1, 7)).cliques == [(0, 1, 2)]
+    assert searched == [0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3]
 
 
 def test_degrees_within_rejects_bad_ids():
