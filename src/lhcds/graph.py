@@ -12,12 +12,14 @@ construction and safe for concurrent reads.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 from typing import IO, Callable, Iterable
 
 log = logging.getLogger(__name__)
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 # A VertexSet is a sorted, duplicate-free tuple of internal vertex ids.
 VertexSet = tuple[int, ...]
@@ -94,16 +96,19 @@ def parse_edge_list(source: str | bytes | IO) -> Graph:
     ascending order and preserved in ``labels``.
 
     Raises ValueError with the offending line number on malformed input.
+    An id must be ASCII digits with an optional sign.
     """
-    if isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    lines = text.splitlines()
+    # int() also reads "1_0" as 10 and non-ASCII digits, which would merge
+    # distinct ids; only a text holding either is searched line by line
+    if "_" in text or not text.isascii():
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if (tokens and tokens[0][0] not in "#%"
+                    and not all(map(_ASCII_INT.fullmatch, tokens))):
+                raise ValueError(f"line {lineno}: invalid token in {tokens!r}")
 
     raw_edges: list[tuple[int, int]] = []
     ids: set[int] = set()

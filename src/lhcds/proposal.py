@@ -158,69 +158,61 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     descending-load order. Raises ValueError when the bounds are not over
     the weight state's denominator.
 
-    The share conditions scan only the partition's spanning cliques that
-    touch the group. That is exact: every group is a union of whole blocks,
-    and any other clique the group touches lies inside one block, hence
-    wholly inside the group, and has no outside member that could carry or
-    receive weight across its boundary.
+    Separation is tested first, by bisect on the sorted loads; only a merge
+    that passes it scans the partition's spanning cliques that touch it for
+    the share conditions. That is exact: every group is a union of whole
+    blocks, and any other clique the group touches lies inside one block,
+    hence wholly inside the group, and has no outside member that could
+    carry or receive weight across its boundary.
     """
     if bounds.den != ws.den:
         raise ValueError(f"bounds over {bounds.den}, loads over {ws.den}")
     out = bounds.copy()
     load = ws.load
     all_loads = sorted(load)
-    crossing: dict[int, list[int]] = {}  # vertex -> its spanning cliques
-    for cid in partition.spanning:
-        for v in cs.cliques[cid]:
-            crossing.setdefault(v, []).append(cid)
 
-    def stable(member_set: set[int], touched: set[int], lo: int,
-               hi: int) -> bool:
-        # separation first: vertices with load in [lo, hi] must be exactly
-        # the members (bisect on the global sorted loads, then the weight
-        # crossing scan only when that passes)
+    def stable(members: list[int], lo: int, hi: int) -> bool:
+        # vertices with load in [lo, hi] must be exactly the members
         in_range = bisect_right(all_loads, hi) - bisect_left(all_loads, lo)
-        if in_range != len(member_set):
+        if in_range != len(members):
             return False
-        return _no_weight_crosses(touched, member_set, lo, hi, ws, cs)
+        member_set = set(members)
+        return _no_weight_crosses(
+            (cid for cid in partition.spanning
+             if not member_set.isdisjoint(cs.cliques[cid])),
+            member_set, lo, hi, ws, cs)
 
-    sets: list[tuple[list[int], set[int], int, int]] = []
+    sets: list[tuple[list[int], int, int]] = []
     acc: list[int] = []
-    acc_set: set[int] = set()
-    touched: set[int] = set()  # spanning cliques with a member in acc
     lo = hi = 0
     for block in partition.groups:
+        if not acc:
+            lo = hi = load[block[0]]
         for v in block:
             lv = load[v]
-            if not acc:
-                lo = hi = lv
-            else:
-                lo = min(lo, lv)
-                hi = max(hi, lv)
-            acc.append(v)
-            acc_set.add(v)
-            if v in crossing:
-                touched.update(crossing[v])
-        if stable(acc_set, touched, lo, hi):
-            sets.append((acc, touched, lo, hi))
-            acc, acc_set, touched = [], set(), set()
+            if lv < lo:
+                lo = lv
+            elif lv > hi:
+                hi = lv
+        acc += block
+        if stable(acc, lo, hi):
+            sets.append((acc, lo, hi))
+            acc = []
     # Weight reassignment can lift a trailing vertex's load above an earlier
     # group's range, leaving the tail unstable with nothing ahead to merge.
     # Merge backward instead; the whole working set is vacuously stable, so
     # this terminates.
     while acc:
-        if stable(acc_set, touched, lo, hi):
-            sets.append((acc, touched, lo, hi))
+        if stable(acc, lo, hi):
+            sets.append((acc, lo, hi))
             break
-        prev, ptouched, plo, phi = sets.pop()
+        prev, plo, phi = sets.pop()
         acc = prev + acc
-        acc_set.update(prev)
-        touched |= ptouched
         lo = min(lo, plo)
         hi = max(hi, phi)
 
     groups: list[VertexSet] = []
-    for members, _, lo, hi in sets:
+    for members, lo, hi in sets:
         candidate = tuple(sorted(members))
         for v in candidate:
             if hi < out.upper[v]:

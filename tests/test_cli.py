@@ -125,6 +125,15 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_parse_error_exit_on_non_ascii_or_underscored_id(tmp_path, capsys):
+    # both would otherwise parse as the id 10 and merge with it
+    for bad in ("1_0", "\u0661\u0660"):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"10 2\n2 3\n3 {bad}\n", encoding="utf-8")
+        assert main(["--input", str(p)]) == 2
+        assert "line 3: invalid token" in capsys.readouterr().err
+
+
 def test_stats_on_stderr(k5_file, capsys):
     main(["--input", str(k5_file), "--h", "3", "--k", "1", "--stats"])
     captured = capsys.readouterr()

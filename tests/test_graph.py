@@ -41,10 +41,19 @@ def test_parse_comments_blank_crlf_and_bytes():
     ("0 1\nx 2", 2),
     ("0 1 2", 1),
     ("0\n", 1),
+    ("1_0 2\n2 3\n3 1_0", 1),  # int() reads 1_0 as 10
+    ("0 1\n# fine\n1 \u0661\u0662\n", 3),  # Arabic-Indic 12
+    ("0 1\n1 \uff12\n", 2),  # fullwidth 2
 ])
 def test_parse_errors_carry_line_number(bad, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}"):
         parse_edge_list(bad)
+
+
+def test_parse_keeps_signed_ascii_ids_and_odd_comments():
+    text = "# caf\u00e9_1 \u0661\n% a_b\n-3 +4\n4 5\r\n"
+    assert parse_edge_list(text).labels == (-3, 4, 5)
+    assert parse_edge_list(text.encode()).labels == (-3, 4, 5)
 
 
 def test_induced_k5_to_k3():

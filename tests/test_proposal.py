@@ -167,10 +167,54 @@ def test_stable_groups_match_full_incidence_scan(mode):
     for cs, ws in _seeded_clique_sets(mode):
         partition = tentative_decomposition(cs, ws)
         bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
+        before = bounds.copy()
         groups, got = derive_stable_groups(partition, ws, cs, bounds)
+        assert bounds == before
         want_groups, want = stable_groups_reference(partition, ws, cs, bounds)
         assert groups == want_groups
         assert got == want
+
+
+def _checked_stable_groups(n, edges, rounds):
+    """derive_stable_groups on a triangle set, checked against the reference
+    and for leaving its bounds argument alone."""
+    cs = enumerate_cliques(Graph.from_edges(n, edges), 3)
+    ws = run_iterations(init_weights(cs), rounds)
+    partition = tentative_decomposition(cs, ws)
+    bounds = initialize_bounds(clique_core_numbers(cs), 3, ws.den)
+    before = bounds.copy()
+    groups, got = derive_stable_groups(partition, ws, cs, bounds)
+    assert bounds == before
+    assert (groups, got) == stable_groups_reference(partition, ws, cs, bounds)
+    return ws, cs, partition, groups
+
+
+def test_separated_block_fails_a_share_condition():
+    # K4 plus a diamond: after one round the diamond's tip 6 is the only
+    # vertex at its load, so its block passes the separation test, but the
+    # triangle (4, 5, 6) still carries share on the heavier 4 and 5
+    edges = clique_edges(range(4)) + [(4, 5), (4, 6), (5, 6), (4, 7), (5, 7)]
+    ws, cs, partition, groups = _checked_stable_groups(8, edges, 1)
+    assert partition.groups == [(0, 1, 2, 3), (6,), (4, 5, 7)]
+    assert ws.load.count(ws.load[6]) == 1
+    assert not is_stable_group((6,), ws, cs)
+    assert groups == [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+
+def test_unstable_tail_merges_backward():
+    # K4 with a triangle hanging off 3, and a separate triangle: after two
+    # rounds (4, 5) closes a stable group, (6,) passes separation and fails
+    # a share condition, and the tail (6, 7, 8) spans (4, 5)'s load, so the
+    # backward merge takes (4, 5) back into the last group
+    edges = clique_edges(range(4)) + clique_edges([3, 4, 5]) \
+        + clique_edges([6, 7, 8])
+    ws, cs, partition, groups = _checked_stable_groups(9, edges, 2)
+    assert partition.groups == [(0, 1, 2, 3), (4, 5), (6,), (7, 8)]
+    assert is_stable_group((4, 5), ws, cs)
+    assert ws.load.count(ws.load[6]) == 1
+    assert not is_stable_group((6,), ws, cs)
+    assert not is_stable_group((6, 7, 8), ws, cs)
+    assert groups == [(0, 1, 2, 3), (4, 5, 6, 7, 8)]
 
 
 def test_stable_groups_reject_another_denominator():
