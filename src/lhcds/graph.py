@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import IO, Callable, Iterable
 
@@ -95,39 +95,31 @@ def parse_edge_list(source: str | bytes | IO) -> Graph:
     counted warning. External ids are remapped to dense internal ids in
     ascending order and preserved in ``labels``.
 
-    Raises ValueError with the offending line number on malformed input.
-    An id must be ASCII digits with an optional sign.
+    An id is a decimal integer (ASCII digits with an optional sign) read by
+    value, so ``007``, ``+7`` and ``7`` name one vertex, labelled 7.
+    Raises ValueError with the line number of the first malformed line.
     """
     data = source if isinstance(source, (str, bytes)) else source.read()
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.splitlines()
     # int() also reads "1_0" as 10 and non-ASCII digits, which would merge
-    # distinct ids; only a text holding either is searched line by line
-    if "_" in text or not text.isascii():
-        for lineno, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if (tokens and tokens[0][0] not in "#%"
-                    and not all(map(_ASCII_INT.fullmatch, tokens))):
-                raise ValueError(f"line {lineno}: invalid token in {tokens!r}")
-
+    # distinct ids; tokens are matched only when the text holds either
+    match_tokens = "_" in text or not text.isascii()
     raw_edges: list[tuple[int, int]] = []
-    ids: set[int] = set()
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] in "#%":
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
         try:
+            if match_tokens and not all(map(_ASCII_INT.fullmatch, tokens)):
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ValueError(f"line {lineno}: invalid token in {tokens!r}") from None
-        ids.add(u)
-        ids.add(v)
         raw_edges.append((u, v))
 
-    labels = tuple(sorted(ids))
+    labels = tuple(sorted(set(chain.from_iterable(raw_edges))))
     index = {ext: i for i, ext in enumerate(labels)}
     g = Graph.from_edges(len(labels), ((index[u], index[v]) for u, v in raw_edges),
                          labels=labels)

@@ -197,8 +197,7 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
 
     results: list[ResultRecord] = []
     stack = candidates[::-1]
-    k_left = cfg.k
-    while stack and (cfg.emit_all or k_left > 0):
+    while stack and (cfg.emit_all or len(results) < cfg.k):
         cand = stack.pop()
         stats.densest_checks += 1
         if _all_equal(cand.degrees):
@@ -218,7 +217,6 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
                 clique_count=cand.clique_count,
                 density=cand.density))
             stats.emitted += 1
-            k_left -= 1
     return results
 
 

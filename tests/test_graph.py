@@ -44,10 +44,20 @@ def test_parse_comments_blank_crlf_and_bytes():
     ("1_0 2\n2 3\n3 1_0", 1),  # int() reads 1_0 as 10
     ("0 1\n# fine\n1 \u0661\u0662\n", 3),  # Arabic-Indic 12
     ("0 1\n1 \uff12\n", 2),  # fullwidth 2
+    ("1 2\n1 2 3\n1_0 4\n", 2),  # the first malformed line is reported
 ])
 def test_parse_errors_carry_line_number(bad, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}"):
         parse_edge_list(bad)
+
+
+@pytest.mark.parametrize("text,labels,m", [
+    ("007 1\n7 2\n+2 1\n", (1, 2, 7), 3),  # 007 is 7, +2 is 2
+    ("-0 1\n0 2\n", (0, 1, 2), 2),  # -0 is 0
+])
+def test_parse_reads_ids_by_value(text, labels, m):
+    g = parse_edge_list(text)
+    assert (g.labels, g.m) == (labels, m)
 
 
 def test_parse_keeps_signed_ascii_ids_and_odd_comments():
