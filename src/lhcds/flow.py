@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cliques import Bounds, CliqueSet, restrict_cliques
 from .graph import Graph, VertexSet, connected_components, reach
@@ -336,13 +336,13 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
 
     - a hot neighbor of a member of s, in s or not, rejects the candidate;
     - otherwise T equal to s accepts it;
-    - otherwise T also takes in each member that is not hot of every clique
-      with no dead member that touches T, and grows by edges from those
-      (a further ``graph.reach`` through vertices neither dead nor hot),
-      until nothing is added. The flow then runs on the cliques inside T,
-      with every clique that has no dead member and leaves T compensated as
-      a border entry of capacity h/cnt, and must return s as a connected
-      component.
+    - otherwise a second ``graph.reach`` from T, through the same vertices,
+      steps from each vertex both along its edges and to the members of
+      each of its cliques with no dead member ("live"). That is the smallest
+      superset of s closed under both kinds of step, and it becomes T. The
+      flow then runs on the cliques inside T, with every live clique that
+      leaves T compensated as a border entry of capacity h/cnt, and must
+      return s as a connected component.
 
     The third rule adds nothing for h-cliques, whose members are
     neighbors; it is there for pattern instances, whose members need not
@@ -400,36 +400,29 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     def admit(w: int) -> bool:
         return lower[w] < hot_at and upper[w] > dead_at
 
-    t_list = reach(g, cand, admit)
+    t_list = reach(g.adj.__getitem__, cand, admit)
     if len(t_list) == len(cand):
         paths["early_accept"] += 1
         return True
     paths["flow"] += 1
 
-    # The third rule: close T over the cliques with no dead member that
-    # touch it, and walk on by edges from the members that adds, until a
-    # pass adds nothing.
-    in_t = set(t_list)
-    met: set[int] = set()
-    live = []
-    fresh = t_list
-    while fresh:
-        touched = {cid for v in fresh for cid in cs.incidence[v]} - met
-        met |= touched
-        new_live = [cid for cid in touched
-                    if all(upper[w] > dead_at for w in cs.cliques[cid])]
-        live += new_live
-        seeds = {w for cid in new_live for w in cs.cliques[cid]
-                 if w not in in_t and lower[w] < hot_at}
-        fresh = reach(g, seeds, lambda w: w not in in_t and admit(w))
-        in_t.update(fresh)
+    # The third rule: T grows from the first T through edges and live
+    # cliques alike.
+    def live(cid: int) -> bool:
+        return all(upper[w] > dead_at for w in cs.cliques[cid])
 
-    t_sorted = sorted(in_t)
+    def steps(v: int) -> Iterator[int]:
+        yield from g.adj[v]
+        for cid in cs.incidence[v]:
+            if live(cid):
+                yield from cs.cliques[cid]
+
+    t_sorted = sorted(reach(steps, t_list, admit))
     pos = {v: i for i, v in enumerate(t_sorted)}
     border = []
-    for cid in sorted(live):
+    for cid in sorted({cid for v in t_sorted for cid in cs.incidence[v]}):
         inside = tuple(pos[w] for w in cs.cliques[cid] if w in pos)
-        if len(inside) < cs.h:
+        if len(inside) < cs.h and live(cid):
             border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
     compact = derive_compact(restrict_cliques(cs, t_sorted), shifted, border)

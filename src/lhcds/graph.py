@@ -1,8 +1,9 @@
 """Compact undirected graph: ingestion, induced subgraphs, connected components.
 
-``reach`` is the one breadth-first walk over edges: ``connected_components``
-runs it from each unvisited member, and ``flow.verify_fast`` grows its
-bound-guided expansion with it.
+``reach`` is the one breadth-first walk, over whatever steps its caller
+gives: ``connected_components`` runs it over edges from each unvisited
+member, and ``flow.verify_fast`` grows its bound-guided expansion with it,
+first over edges and then over edges and live instances.
 
 Vertices are dense internal ids 0..n-1. External ids from input files are kept in
 ``labels`` and only matter at I/O boundaries. A Graph is immutable after
@@ -142,16 +143,18 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
                  labels=tuple(g.labels[v] for v in members))
 
 
-def reach(g: Graph, seeds: Iterable[int],
+def reach(steps: Callable[[int], Iterable[int]], seeds: Iterable[int],
           admit: Callable[[int], bool]) -> list[int]:
-    """The seeds in the order given, then every vertex that an edge path
+    """The seeds in the order given, then every vertex that a path of steps
     through vertices accepted by ``admit`` reaches from them, in
-    breadth-first order; each vertex is listed once. ``admit`` is asked
-    at most once about each vertex, and never about a seed."""
+    breadth-first order; ``steps(v)`` yields the vertices one step from v
+    (``g.adj.__getitem__`` walks g's edges). Each vertex is listed once.
+    ``admit`` is asked at most once about each vertex, and never about a
+    seed."""
     order = list(dict.fromkeys(seeds))
     seen = set(order)
     for v in order:
-        for w in g.adj[v]:
+        for w in steps(v):
             if w not in seen:
                 seen.add(w)
                 if admit(w):
@@ -169,7 +172,7 @@ def connected_components(g: Graph, members: Iterable[int] | None = None
     comps: list[VertexSet] = []
     for start in starts:
         if start in left:
-            comp = reach(g, (start,), left.__contains__)
+            comp = reach(g.adj.__getitem__, (start,), left.__contains__)
             left.difference_update(comp)
             comps.append(tuple(sorted(comp)))
     return comps

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lhcds.flow as flow_mod
-from lhcds import (Bounds, CliqueSet, build_network, clique_core_numbers,
-                   compact_numbers, connected_components, derive_compact,
-                   enumerate_cliques, enumerate_patterns, induced_subgraph,
-                   initialize_bounds, is_densest, min_cut,
-                   oracle_compact_numbers, oracle_compactness,
-                   restrict_cliques, verify_basic, verify_fast)
+from lhcds import (Bounds, CliqueSet, PipelineConfig, build_network,
+                   clique_core_numbers, compact_numbers, connected_components,
+                   derive_compact, enumerate_cliques, enumerate_patterns,
+                   induced_subgraph, initialize_bounds, ippv, ippv_pattern,
+                   is_densest, min_cut, oracle_compact_numbers,
+                   oracle_compactness, restrict_cliques, verify_basic,
+                   verify_fast)
 from lhcds.flow import denser_part
 from lhcds.oracle import _mask_to_tuple, compact_table
 from helpers import (clique_edges, gnp, k4_pendant, k5_k4_bridge_edge, k_n,
-                     triangle, two_k4_bridge_edge, two_k4_bridge_vertex)
+                     planted, triangle, two_k4_bridge_edge,
+                     two_k4_bridge_vertex)
 
 from lhcds import Graph
 
@@ -484,3 +486,82 @@ def test_verify_fast_closes_over_instances_until_nothing_is_added():
     paths = Counter()
     assert verify_fast(g, cs, s, bounds, paths=paths)
     assert paths == {"flow": 1}
+
+
+def _fast_network_reference(g, cs, s, bounds):
+    """verify_fast's decision path and, on the flow path, the vertex set T
+    and the border entries of its network, from its docstring by a plain
+    fixpoint: exact Fraction compares, every clique scanned on each pass."""
+    inside_s = set(s)
+    rho = Fraction(sum(set(c) <= inside_s for c in cs.cliques), len(s))
+    dead = {v for v in range(g.n)
+            if Fraction(bounds.upper[v], bounds.den) < rho}
+    hot = {v for v in range(g.n)
+           if Fraction(bounds.lower[v], bounds.den) > rho}
+    if any(w in hot for v in s for w in g.adj[v]):
+        return "early_reject", None
+    live = [set(c) for c in cs.cliques if not dead.intersection(c)]
+    t = set(s)
+
+    def close(over_cliques):
+        while True:
+            more = {w for v in t for w in g.adj[v]} - dead
+            if over_cliques:
+                more.update(w for c in live if t & c for w in c)
+            more -= hot | t
+            if not more:
+                return
+            t.update(more)
+
+    close(False)
+    if t == inside_s:
+        return "early_accept", None
+    close(True)
+    pos = {v: i for i, v in enumerate(sorted(t))}
+    border = [tuple(pos[w] for w in c if w in t) for c in cs.cliques
+              if not dead.intersection(c) and t.intersection(c)
+              and not t.issuperset(c)]
+    return "flow", (sorted(t), border)
+
+
+@pytest.mark.time_limit(60)  # 4path took about 6 s when measured
+@pytest.mark.parametrize("mode", [3, 4, "diamond", "4loop", "tailed-triangle",
+                                  "3star", "4path"])
+def test_verify_fast_network_matches_fixpoint(mode, monkeypatch):
+    # T and the border entries that reach the network, not only the verdict:
+    # the bounds of the propose and prune pass, on connected candidates (the
+    # pass's candidates' pieces and each vertex with its neighbours) of
+    # planted graphs
+    cfg = PipelineConfig(h=mode if isinstance(mode, int) else 3, k=1)
+    got = []
+    real_restrict = flow_mod.restrict_cliques
+    real_derive = flow_mod.derive_compact
+    monkeypatch.setattr(flow_mod, "restrict_cliques",
+                        lambda cs, s: got.append(list(s))
+                        or real_restrict(cs, s))
+    monkeypatch.setattr(flow_mod, "derive_compact",
+                        lambda cs, rho, border: got.append(list(border))
+                        or real_derive(cs, rho, border))
+    flows = 0
+    for seed in range(1, 4):
+        g = planted(seed, n=120, m=300, blocks=4, size_lo=5, size_hi=8, p=0.8)
+        events = []
+        if isinstance(mode, int):
+            ippv(g, cfg, on_round=events.append)
+            cs = enumerate_cliques(g, mode)
+        else:
+            ippv_pattern(g, mode, cfg, on_round=events.append)
+            cs = enumerate_patterns(g, mode)
+        (ev,) = events
+        cands = [comp for c in ev.candidates
+                 for comp in connected_components(g, c)]
+        cands += [tuple(sorted({v, *g.adj[v]})) for v in range(g.n)]
+        for s in cands:
+            path, network = _fast_network_reference(g, cs, s, ev.bounds)
+            paths = Counter()
+            got.clear()
+            verify_fast(g, cs, s, ev.bounds, paths=paths)
+            assert paths == {path: 1}, (seed, s)
+            assert got == (list(network) if network else []), (seed, s)
+            flows += path == "flow"
+    assert flows > 0

@@ -224,10 +224,11 @@ def test_components_match_networkx(g, data):
 def test_reach_seeds_first_then_breadth_first():
     # path 0-1-2-3-4-5 plus the chord 0-5; seeds 3 then 0 (twice)
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-    assert reach(g, [3, 0, 3], lambda w: True) == [3, 0, 2, 4, 1, 5]
+    edges = g.adj.__getitem__
+    assert reach(edges, [3, 0, 3], lambda w: True) == [3, 0, 2, 4, 1, 5]
     # 1 is not admitted, so 2 is reached from 3 only and nothing from 1
-    assert reach(g, [0], lambda w: w != 1) == [0, 5, 4, 3, 2]
-    assert reach(g, [], lambda w: True) == []
+    assert reach(edges, [0], lambda w: w != 1) == [0, 5, 4, 3, 2]
+    assert reach(edges, [], lambda w: True) == []
 
 
 def test_reach_asks_once_per_vertex_and_never_about_seeds():
@@ -238,7 +239,7 @@ def test_reach_asks_once_per_vertex_and_never_about_seeds():
         asked.append(w)
         return w != 4
 
-    assert reach(k_n(5), [2, 1], admit) == [2, 1, 0, 3]
+    assert reach(k_n(5).adj.__getitem__, [2, 1], admit) == [2, 1, 0, 3]
     assert sorted(asked) == [0, 3, 4]
 
 
@@ -247,14 +248,23 @@ def test_reach_is_a_breadth_first_walk_through_admitted_vertices(g, data):
     ids = st.integers(0, max(g.n - 1, 0))
     seeds = data.draw(st.lists(ids, max_size=5)) if g.n else []
     admitted = data.draw(st.sets(ids, max_size=g.n))
-    got = reach(g, seeds, admitted.__contains__)
+    # one-way links beyond g's edges, taken as further steps
+    links = data.draw(st.lists(st.tuples(ids, ids), max_size=10)) \
+        if g.n else []
+    further = {}
+    for u, v in links:
+        further.setdefault(u, []).append(v)
+    got = reach(lambda v: g.adj[v] + tuple(further.get(v, ())), seeds,
+                admitted.__contains__)
     first = list(dict.fromkeys(seeds))
     assert got[:len(first)] == first
     assert len(set(got)) == len(got)
     assert admitted.issuperset(got[len(first):])
-    # every vertex in a piece of G[seeds + admitted] that holds a seed, at
-    # non-decreasing distance from the seeds
-    h = _nx(g).subgraph(admitted.union(seeds)).copy()
+    # every vertex that a path of edges and links through seeds and admitted
+    # vertices reaches from a seed, at non-decreasing distance from the seeds
+    h = _nx(g).to_directed()
+    h.add_edges_from(links)
+    h = h.subgraph(admitted.union(seeds)).copy()
     h.add_edges_from(("src", v) for v in first)
     dist = nx.single_source_shortest_path_length(h, "src") if first else {}
     assert set(got) == set(dist) - {"src"}
