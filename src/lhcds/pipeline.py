@@ -1,15 +1,15 @@
 """Top-k locally densest discovery: one propose and prune pass, then a worklist.
 
-One pass over the whole graph proposes candidates (weight iteration,
-tentative decomposition, stable groups) and prunes provably invalid
-vertices. The surviving candidates go on a stack so that the densest comes
-off first. The driver then works the stack. A popped candidate S that is
-self-densest is accepted only if it is a maximal compact component of the
-whole input graph; one that fails maximality intersects no locally densest
-subgraph and is discarded. One that is not self-densest is split by its
-flow witness and its pieces go back on the stack. Every emission is gated
-by the exact flow verification, so the output is exact regardless of how
-approximate the proposals are.
+One pass over the whole graph bounds each vertex's compact number (weight
+iteration, tentative decomposition, stable groups) and prunes provably
+invalid vertices. The survivors' components go on a stack so that the
+densest comes off first. The driver then works the stack. A popped
+candidate S that is self-densest is accepted only if it is a maximal
+compact component of the whole input graph; one that fails maximality
+intersects no locally densest subgraph and is discarded. One that is not
+self-densest is split by its flow witness and its pieces go back on the
+stack. Every emission is gated by the exact flow verification, so the
+output is exact regardless of how approximate the proposals are.
 
 This departs on purpose from the paper's IPPV loop, where a candidate that
 stays undecided goes back through propose and prune as a new working graph.
@@ -26,11 +26,18 @@ Two facts make that re-proposal unnecessary for exactness:
   S - T, and each piece is strictly smaller than S.
 
 A popped candidate is thus accepted, discarded or replaced by strictly
-smaller sets, so the driver ends on every input. Stable groups are split
-into their connected components before stacking, as a locally densest
-subgraph is connected and the verifiers take connected sets only.
-Components that hold no clique are dropped: a connected clique-free set is
-vacuously compact at density zero and is not reported.
+smaller sets, so the driver ends on every input. The pass's candidates are
+the connected components of the pruning survivors that hold a clique: a
+locally densest subgraph is connected, and a clique-free one is vacuously
+compact at density zero and not reported. Stable groups reach them only
+through the bounds they tighten, and no edge joins survivors of two groups:
+
+- Each group passes the separation test: the vertices with load in its
+  range [lo, hi] are exactly its members. So group ranges are disjoint,
+  and tightening gives each member ``lower >= lo`` and ``upper <= hi``.
+- On an edge (a, b) with a's group A above b's group B,
+  ``lower[a] >= lo_A > hi_B >= upper[b]``. The edge rule reads every
+  neighbour, dead or alive, so it drops b.
 
 A candidate S whose members all lie in the same number of S's cliques is
 self-densest by that count alone (the certificate in
@@ -184,10 +191,10 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     ws = run_iterations(init_weights(cs), cfg.iterations)
     stats.fw_updates += cfg.iterations * len(cs.cliques)
     bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
-    groups, bounds = derive_stable_groups(tentative_decomposition(cs, ws),
-                                          ws, cs, bounds)
-    kept, surviving = prune(g, groups, bounds, cs)
-    candidates = _as_candidates(g, cs, kept)
+    _, bounds = derive_stable_groups(tentative_decomposition(cs, ws),
+                                     ws, cs, bounds)
+    surviving = prune(g, bounds, cs)
+    candidates = _as_candidates(g, cs, (surviving,))
     stats.candidates_proposed += len(candidates)
     stats.pruned_vertices += g.n - len(surviving)
     if on_round is not None:

@@ -25,13 +25,9 @@ def definitely_less(a: int, b: int) -> bool:
     return a < b
 
 
-def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
-          ) -> tuple[list[VertexSet], VertexSet]:
-    """Drop provably invalid vertices out of g and out of every group.
-
-    Returns the surviving groups (empty ones removed) and the sorted tuple
-    of surviving vertex ids. Idempotent for unchanged bounds.
-    """
+def prune(g: Graph, bounds: Bounds, cs: CliqueSet) -> VertexSet:
+    """Sorted ids of g's vertices that survive both rules, whose connected
+    components are the pass's candidates. Idempotent for unchanged bounds."""
     upper, lower, den = bounds.upper, bounds.lower, bounds.den
     alive = bytearray(b"\1") * g.n
     # one compare against the largest neighbouring lower bound decides the
@@ -53,10 +49,4 @@ def prune(g: Graph, groups: list[VertexSet], bounds: Bounds, cs: CliqueSet
         if not dropped:
             break
 
-    surviving = tuple(v for v in range(g.n) if alive[v])
-    kept: list[VertexSet] = []
-    for grp in groups:
-        vs = tuple(v for v in grp if alive[v])
-        if vs:
-            kept.append(vs)
-    return kept, surviving
+    return tuple(v for v in range(g.n) if alive[v])

@@ -276,10 +276,10 @@ def core_bruteforce(n: int, cliques) -> list[int]:
     return core
 
 
-def prune_rebuild(g: Graph, candidates, bounds, cs):
+def prune_rebuild(g: Graph, bounds, cs):
     """The pruning rules with the core cascade run by rebuilding: every pass
     restricts the clique set and the graph to the survivors and peels their
-    cores from scratch. Returns the kept groups and the surviving ids."""
+    cores from scratch. Returns the surviving ids."""
     alive = [True] * g.n
     for v in range(g.n):
         if any(bounds.upper[v] < bounds.lower[u] for u in g.adj[v]):
@@ -290,15 +290,9 @@ def prune_rebuild(g: Graph, candidates, bounds, cs):
         dropped = [v for i, v in enumerate(survivors)
                    if core[i] < Fraction(bounds.lower[v], bounds.den)]
         if not dropped:
-            break
+            return tuple(survivors)
         for v in dropped:
             alive[v] = False
-    kept = []
-    for grp in candidates:
-        vs = tuple(v for v in grp if alive[v])
-        if vs:
-            kept.append(vs)
-    return kept, tuple(v for v in range(g.n) if alive[v])
 
 
 def exact_bounds(core, h: int, den: int) -> Bounds:

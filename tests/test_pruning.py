@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Bounds, Graph, clique_core_numbers,
-                   derive_stable_groups, enumerate_cliques, induced_subgraph,
-                   init_weights, initialize_bounds, prune, run_iterations,
-                   tentative_decomposition)
+from lhcds import (Bounds, Graph, PipelineConfig, clique_core_numbers,
+                   connected_components, derive_stable_groups,
+                   enumerate_cliques, enumerate_patterns, induced_subgraph,
+                   init_weights, initialize_bounds, ippv, ippv_pattern, prune,
+                   run_iterations, tentative_decomposition)
 from helpers import (clique_edges, exact_bounds, gnp, k_n, planted,
                      prune_rebuild)
 
@@ -21,13 +22,19 @@ def _bounds(upper, lower, den=4):
                   den=den)
 
 
+def _cross_edges(g, groups, surviving):
+    """Edges of g between survivors of two different groups."""
+    group_of = {v: i for i, grp in enumerate(groups) for v in grp}
+    alive = set(surviving)
+    return [(u, v) for u in surviving for v in g.adj[u]
+            if u < v and v in alive and group_of[u] != group_of[v]]
+
+
 def test_edge_rule_removes_dominated_vertex():
     # pendant 4 sits below vertex 0's lower bound across the edge (0, 4)
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4)])
     b = _bounds(upper=[3, 3, 3, 3, 0.5], lower=[1, 1, 1, 1, 0.25])
-    kept, surviving = prune(g, [(0, 1, 2, 3, 4)], b, enumerate_cliques(g, 3))
-    assert surviving == (0, 1, 2, 3)
-    assert kept == [(0, 1, 2, 3)]
+    assert prune(g, b, enumerate_cliques(g, 3)) == (0, 1, 2, 3)
 
 
 def _cascade_fixture():
@@ -43,7 +50,7 @@ def _cascade_fixture():
 
 def test_core_cascade():
     g, b = _cascade_fixture()
-    kept, surviving = prune(g, [tuple(range(12))], b, enumerate_cliques(g, 3))
+    surviving = prune(g, b, enumerate_cliques(g, 3))
     assert 9 not in surviving and 11 not in surviving    # edge rule
     assert 8 not in surviving and 10 not in surviving    # core cascade
     assert set(range(8)) <= set(surviving)
@@ -59,17 +66,15 @@ def test_cascade_reaches_fixed_point():
     g = Graph.from_edges(9, edges)
     b = _bounds(upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
     cs = enumerate_cliques(g, 2)
-    kept, surviving = prune(g, [tuple(range(9))], b, cs)
-    assert surviving == () and kept == []
-    assert prune_rebuild(g, [tuple(range(9))], b, cs) == ([], ())
+    assert prune(g, b, cs) == ()
+    assert prune_rebuild(g, b, cs) == ()
 
 
 def test_uniform_graph_untouched():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
     b = _bounds(upper=[6] * 5, lower=[2] * 5)
-    kept, surviving = prune(g, [tuple(range(5))], b, cs)
-    assert surviving == tuple(range(5))
+    assert prune(g, b, cs) == tuple(range(5))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -93,20 +98,18 @@ def test_edge_rule_matches_per_edge_compares_at_ulp_ties(seed):
                 if any(b.upper[v] < b.lower[u] for u in g.adj[v])}
     assert 0 < len(per_edge) < g.n
     cs = enumerate_cliques(g, 2)
-    kept, surviving = prune(g, [tuple(range(g.n))], b, cs)
+    surviving = prune(g, b, cs)
     assert per_edge.isdisjoint(surviving)
-    assert (kept, surviving) == prune_rebuild(g, [tuple(range(g.n))], b, cs)
+    assert surviving == prune_rebuild(g, b, cs)
 
 
 def test_idempotent():
     g, b = _cascade_fixture()
-    kept, surviving = prune(g, [tuple(range(12))], b, enumerate_cliques(g, 3))
+    surviving = prune(g, b, enumerate_cliques(g, 3))
     g2 = induced_subgraph(g, surviving)
     b2 = Bounds(upper=[b.upper[v] for v in surviving],
                 lower=[b.lower[v] for v in surviving], den=b.den)
-    kept2, surviving2 = prune(g2, [tuple(range(g2.n))], b2,
-                              enumerate_cliques(g2, 3))
-    assert surviving2 == tuple(range(g2.n))
+    assert prune(g2, b2, enumerate_cliques(g2, 3)) == tuple(range(g2.n))
 
 
 def test_near_tie_not_pruned():
@@ -114,14 +117,12 @@ def test_near_tie_not_pruned():
     # neighbour's lower bound keeps 0; one step of 1/den below it drops 0
     g = Graph.from_edges(5, [(0, 1)] + clique_edges(range(1, 5)))
     cs = enumerate_cliques(g, 2)
-    everyone = [tuple(range(5))]
     for den in (1, 6, 504):
         for step, want in ((0, (0, 1, 2, 3, 4)), (1, (1, 2, 3, 4))):
             b = Bounds(upper=[den - step] + [3 * den] * 4,
                        lower=[0, den, 0, 0, 0], den=den)
-            kept, surviving = prune(g, everyone, b, cs)
-            assert surviving == want
-            assert prune_rebuild(g, everyone, b, cs) == (kept, surviving)
+            assert prune(g, b, cs) == want
+            assert prune_rebuild(g, b, cs) == want
 
 
 def test_core_cascade_compares_core_times_den():
@@ -132,16 +133,17 @@ def test_core_cascade_compares_core_times_den():
     den = 126
     for step, want in ((0, (0, 1, 2)), (1, ())):
         b = Bounds(upper=[5 * den] * 3, lower=[den, den, den + step], den=den)
-        assert prune(g, [(0, 1, 2)], b, cs)[1] == want
-        assert prune_rebuild(g, [(0, 1, 2)], b, cs)[1] == want
+        assert prune(g, b, cs) == want
+        assert prune_rebuild(g, b, cs) == want
 
 
 @pytest.mark.time_limit(10)  # each case took under 1 s when measured
 @pytest.mark.parametrize("seed", range(20))
 def test_prune_matches_rebuild_cascade(seed):
-    # a 30-300-vertex planted graph, pruned with the groups and bounds of a
-    # whole-graph propose round, as the driver's first round does; core
-    # bounds seeded from exact rationals give the same groups and bounds
+    # a 30-300-vertex planted graph, pruned with the bounds of a whole-graph
+    # propose round, as the driver's pass does, leaves no edge between two
+    # stable groups' survivors; core bounds seeded from exact rationals give
+    # the same groups and bounds
     rng = random.Random(seed)
     n = rng.randint(30, 300)
     blocks = max(1, n // 25)
@@ -154,10 +156,66 @@ def test_prune_matches_rebuild_cascade(seed):
     partition = tentative_decomposition(cs, ws)
     groups, local = derive_stable_groups(partition, ws, cs,
                                          initialize_bounds(core, h, ws.den))
-    kept, surviving = prune(g, groups, local, cs)
-    want_kept, want_surviving = prune_rebuild(g, groups, local, cs)
-    assert surviving == want_surviving
-    assert kept == want_kept
+    surviving = prune(g, local, cs)
+    assert surviving == prune_rebuild(g, local, cs)
+    assert _cross_edges(g, groups, surviving) == []
     exact_groups, exact_local = derive_stable_groups(
         partition, ws, cs, exact_bounds(core, h, ws.den))
     assert (exact_groups, exact_local) == (groups, local)
+
+
+class _PassDone(Exception):
+    pass
+
+
+def _pass_event(g, kind, rounds):
+    """The driver's round event for kind (h or a pattern name), stopping the
+    driver once the pass is done."""
+    events = []
+
+    def stop(ev):
+        events.append(ev)
+        raise _PassDone
+
+    with pytest.raises(_PassDone):
+        if isinstance(kind, int):
+            ippv(g, PipelineConfig(h=kind, iterations=rounds), on_round=stop)
+        else:
+            ippv_pattern(g, kind, PipelineConfig(iterations=rounds),
+                         on_round=stop)
+    return events[0]
+
+
+@pytest.mark.time_limit(30)  # all seven kinds took about 5 s when measured
+@pytest.mark.parametrize("kind", [2, 3, 4, "diamond", "4loop",
+                                  "tailed-triangle", "3star"])
+def test_survivors_never_span_two_stable_groups(kind):
+    # the pass's bounds come from stable groups, and its edge rule drops
+    # every vertex next to a higher group, so no surviving edge joins two
+    # groups and the candidates are the clique-bearing components of each
+    # group's survivors, in the driver's order; the groups are rebuilt here
+    # from the pass's inputs at 1, 5 and 20 weight rounds
+    for seed in range(1, 6):
+        g = planted(seed, n=400, m=1200, blocks=6, size_lo=5, size_hi=8,
+                    p=0.8)
+        cs = (enumerate_cliques(g, kind) if isinstance(kind, int)
+              else enumerate_patterns(g, kind))
+        for rounds in (1, 5, 20):
+            ev = _pass_event(g, kind, rounds)
+            ws = run_iterations(init_weights(cs), rounds)
+            groups, local = derive_stable_groups(
+                tentative_decomposition(cs, ws), ws, cs,
+                initialize_bounds(clique_core_numbers(cs), cs.h, ws.den))
+            assert local == ev.bounds
+            surviving = tuple(sorted(set(range(g.n)).difference(ev.pruned)))
+            assert _cross_edges(g, groups, surviving) == [], (seed, rounds)
+            alive = set(surviving)
+            per_group = []
+            for grp in groups:
+                for comp in connected_components(
+                        g, [v for v in grp if v in alive]):
+                    count = cs.count_within(comp)
+                    if count:
+                        per_group.append((-Fraction(count, len(comp)), comp))
+            assert ev.candidates == [c for _, c in sorted(per_group)], \
+                (seed, rounds)
