@@ -149,6 +149,31 @@ def restrict_cliques(cs: CliqueSet, members: Iterable[int]) -> CliqueSet:
     return _index_cliques(cs.h, kept, len(mlist))
 
 
+def onto_support(cs: CliqueSet) -> tuple[VertexSet, CliqueSet]:
+    """The clique support (the ids of the vertices in some clique, sorted)
+    and cs relabelled onto it: support member i becomes vertex i.
+
+    The relabel is monotone, so every clique stays internally sorted, the
+    list stays in lexicographic order and each clique keeps its id; degrees
+    and incidence lists carry over. Clique tuples are rewritten in place,
+    so cs itself must not be used afterwards. When the support is every
+    vertex, cs is returned as it is.
+    """
+    sup = tuple(v for v, d in enumerate(cs.degree) if d)
+    if len(sup) == len(cs.degree):
+        return sup, cs
+    local = [0] * len(cs.degree)
+    for i, v in enumerate(sup):
+        local[v] = i
+    to_local = local.__getitem__
+    cliques = cs.cliques
+    for cid, c in enumerate(cliques):
+        cliques[cid] = tuple(map(to_local, c))
+    return sup, CliqueSet(h=cs.h, cliques=cliques,
+                          degree=[cs.degree[v] for v in sup],
+                          incidence=[cs.incidence[v] for v in sup])
+
+
 def clique_core_numbers(cs: CliqueSet,
                         alive: Sequence[int] | None = None) -> list[int]:
     """Per-vertex h-clique-core numbers by minimum-clique-degree peeling.

@@ -407,23 +407,26 @@ def verify_fast(g: Graph, cs: CliqueSet, s: Sequence[int], bounds: Bounds,
     paths["flow"] += 1
 
     # The third rule: T grows from the first T through edges and live
-    # cliques alike.
-    def live(cid: int) -> bool:
-        return all(upper[w] > dead_at for w in cs.cliques[cid])
+    # cliques alike. ``reach`` runs ``steps`` on every vertex of the final
+    # T, so ``live`` ends up deciding, once each, the cliques that meet T.
+    live: dict[int, bool] = {}
 
     def steps(v: int) -> Iterator[int]:
         yield from g.adj[v]
         for cid in cs.incidence[v]:
-            if live(cid):
+            if cid not in live:
+                live[cid] = all(upper[w] > dead_at for w in cs.cliques[cid])
+            if live[cid]:
                 yield from cs.cliques[cid]
 
     t_sorted = sorted(reach(steps, t_list, admit))
     pos = {v: i for i, v in enumerate(t_sorted)}
     border = []
-    for cid in sorted({cid for v in t_sorted for cid in cs.incidence[v]}):
-        inside = tuple(pos[w] for w in cs.cliques[cid] if w in pos)
-        if len(inside) < cs.h and live(cid):
-            border.append(inside)
+    for cid in sorted(live):
+        if live[cid]:
+            inside = tuple(pos[w] for w in cs.cliques[cid] if w in pos)
+            if len(inside) < cs.h:
+                border.append(inside)
     shifted = rho - Fraction(1, len(t_sorted) * len(t_sorted))
     compact = derive_compact(restrict_cliques(cs, t_sorted), shifted, border)
     return cand in connected_components(g, [t_sorted[i] for i in compact])

@@ -1,6 +1,6 @@
 """Top-k locally densest discovery: one propose and prune pass, then a worklist.
 
-One pass over the whole graph bounds each vertex's compact number (weight
+One pass over the clique support bounds each vertex's compact number (weight
 iteration, tentative decomposition, stable groups) and prunes provably
 invalid vertices. The survivors' components go on a stack so that the
 densest comes off first. The driver then works the stack. A popped
@@ -49,6 +49,20 @@ clique degrees inside it and its clique count, both from one
 ``CliqueSet.degrees_within`` walk. The equal-degree test reads the degrees,
 and ``flow.verify_fast`` takes the count, the numerator of the density it
 verifies.
+
+The pass and the worklist run on the clique support: G[sup], with sup the
+vertices in some clique, and the cliques relabelled onto it
+(``cliques.onto_support``). That loses nothing:
+
+- A clique-free vertex w is in no rho-compact set for rho > 0, because
+  removing w destroys 0 < rho cliques. So every maximal compact
+  set of G lies inside sup, and maximality in G[sup] is maximality in G.
+- A locally densest subgraph is connected and all its members are in sup,
+  so it stays connected in G[sup].
+- The relabel is monotone and every clique lies in sup, so clique order,
+  clique ids, Frank-Wolfe tie-breaks and candidate order do not change.
+
+Records and the pass's event are mapped back to the ids of G.
 """
 
 from __future__ import annotations
@@ -59,11 +73,10 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .cliques import Bounds, CliqueSet, clique_core_numbers, enumerate_cliques, \
-    initialize_bounds, restrict_cliques
+    initialize_bounds, onto_support, restrict_cliques
 from .flow import denser_part, verify_basic, verify_fast
 from .flow import is_densest  # noqa: F401  (perfbench traces it here)
-from .graph import Graph, VertexSet, connected_components
-from .graph import induced_subgraph  # noqa: F401  (perfbench traces it here)
+from .graph import Graph, VertexSet, connected_components, induced_subgraph
 from .patterns import enumerate_patterns
 from .proposal import derive_stable_groups, tentative_decomposition
 from .pruning import prune
@@ -97,10 +110,10 @@ class ResultRecord:
     """One verified locally densest subgraph.
 
     ``vertices`` holds external ids (the input file's), ``members`` the
-    internal ids. Every record is verified, its density is exact, and
-    member sets are pairwise disjoint. Ranks follow the candidates' own
-    densities, so a later record can be denser than an earlier one, and a
-    top-k query can miss a set that ``emit_all`` finds.
+    internal ids of the whole graph. Every record is verified, its density
+    is exact, and member sets are pairwise disjoint. Ranks follow the
+    candidates' own densities, so a later record can be denser than an
+    earlier one, and a top-k query can miss a set that ``emit_all`` finds.
     """
 
     rank: int
@@ -115,6 +128,8 @@ class RunStats:
     clique_count: int = 0
     rounds: int = 0  # propose and prune passes: one per query
     candidates_proposed: int = 0
+    # vertices that are not pruning survivors, clique-free ones included:
+    # len(RoundEvent.pruned)
     pruned_vertices: int = 0
     densest_checks: int = 0
     densest_certified: int = 0  # densest checks decided by equal degrees
@@ -138,9 +153,13 @@ class RunStats:
 
 @dataclass
 class RoundEvent:
-    """Trace of the propose and prune pass for tests: candidates after
-    pruning, the pruned vertices, and the pass's bounds, which the driver
-    does not change after pruning."""
+    """Trace of the propose and prune pass for tests, in the ids of the
+    whole graph: candidates after pruning, every vertex that is not a
+    pruning survivor (each clique-free one included), and the pass's
+    bounds, 0/0 for a clique-free vertex. The pass runs on the clique
+    support, so ``bounds`` is a fresh whole-graph copy that the driver
+    never reads; the driver does not change its own bounds after
+    pruning."""
 
     candidates: list[VertexSet]
     pruned: VertexSet
@@ -188,6 +207,9 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     stats.rounds += 1
     stats.max_iterations_used = cfg.iterations
 
+    # from here on g is G[sup] and every id is a support id
+    sup, cs = onto_support(cs)
+    n, g = g.n, induced_subgraph(g, sup)
     ws = run_iterations(init_weights(cs), cfg.iterations)
     stats.fw_updates += cfg.iterations * len(cs.cliques)
     bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
@@ -196,11 +218,9 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
     surviving = prune(g, bounds, cs)
     candidates = _as_candidates(g, cs, (surviving,))
     stats.candidates_proposed += len(candidates)
-    stats.pruned_vertices += g.n - len(surviving)
+    stats.pruned_vertices += n - len(surviving)
     if on_round is not None:
-        pruned = tuple(sorted(set(range(g.n)).difference(surviving)))
-        on_round(RoundEvent(candidates=[c.vertices for c in candidates],
-                            pruned=pruned, bounds=bounds))
+        on_round(_whole_graph_event(n, sup, candidates, surviving, bounds))
 
     results: list[ResultRecord] = []
     stack = candidates[::-1]
@@ -220,11 +240,27 @@ def _run(g: Graph, cs: CliqueSet, cfg: PipelineConfig,
             results.append(ResultRecord(
                 rank=len(results) + 1,
                 vertices=tuple(sorted(g.labels[v] for v in cand.vertices)),
-                members=cand.vertices,
+                members=tuple(map(sup.__getitem__, cand.vertices)),
                 clique_count=cand.clique_count,
                 density=cand.density))
             stats.emitted += 1
     return results
+
+
+def _whole_graph_event(n: int, sup: VertexSet, candidates: list[_Candidate],
+                       surviving: VertexSet, bounds: Bounds) -> RoundEvent:
+    """The pass's event in the ids of the whole graph on n vertices, from
+    the pass on G[sup]: a clique-free vertex is pruned, with bounds 0/0."""
+    upper, lower = [0] * n, [0] * n
+    for i, v in enumerate(sup):
+        upper[v] = bounds.upper[i]
+        lower[v] = bounds.lower[i]
+    alive = set(map(sup.__getitem__, surviving))
+    return RoundEvent(
+        candidates=[tuple(map(sup.__getitem__, c.vertices))
+                    for c in candidates],
+        pruned=tuple(v for v in range(n) if v not in alive),
+        bounds=Bounds(upper=upper, lower=lower, den=bounds.den))
 
 
 def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]]

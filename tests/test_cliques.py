@@ -10,6 +10,7 @@ from lhcds import (PATTERN_NAMES, CliqueSet, Graph, clique_core_numbers,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
                    init_weights, initialize_bounds, oracle_compact_numbers,
                    restrict_cliques)
+from lhcds.cliques import onto_support
 from helpers import (core_bruteforce, enumerate_cliques_reference, gnp,
                      has_edge, k_n, path_n, planted, triangle,
                      two_k4_bridge_edge)
@@ -168,6 +169,28 @@ def test_restrict_cliques_rejects_ids_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             restrict_cliques(cs, members)
     assert restrict_cliques(cs, [3, 2, 1, 0]) is cs
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_onto_support_relabels_monotonely(kind):
+    # the support is the vertices in some instance; each instance keeps its
+    # id and maps back to itself, and degrees and incidence carry over
+    for seed in range(1, 4):
+        g = planted(seed, n=120, m=200, blocks=4, size_lo=4, size_hi=7, p=0.8)
+        cs = _instances(g, kind)
+        whole = _instances(g, kind)
+        sup, local = onto_support(cs)
+        assert sup == tuple(v for v in range(g.n) if whole.degree[v])
+        # a parsed graph has no isolated vertex: every one is in an edge
+        assert (len(sup) == g.n) == (kind == 2)
+        assert [tuple(sup[i] for i in c) for c in local.cliques] == \
+            whole.cliques
+        assert local.cliques == sorted(local.cliques)
+        assert local.degree == [whole.degree[v] for v in sup]
+        assert local.incidence == [whole.incidence[v] for v in sup]
+    k5 = enumerate_cliques(k_n(5), 3)
+    assert onto_support(k5) == (tuple(range(5)), k5)
+    assert onto_support(k5)[1] is k5
 
 
 def test_core_numbers_examples():

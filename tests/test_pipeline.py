@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (PipelineConfig, RunStats, enumerate_cliques, flow, ippv,
-                   ippv_pattern, oracle_compact_numbers, oracle_lhcds,
-                   verify_basic)
-from helpers import (gnp, k_n, path_n, planted, star, thirteen_triangles,
-                     triangle, two_k4_bridge_vertex)
+from lhcds import (Graph, PipelineConfig, RunStats, clique_core_numbers,
+                   connected_components, derive_stable_groups,
+                   enumerate_cliques, enumerate_patterns, flow, init_weights,
+                   initialize_bounds, ippv, ippv_pattern,
+                   oracle_compact_numbers, oracle_lhcds, prune, run_iterations,
+                   tentative_decomposition, verify_basic)
+from helpers import (clique_edges, gnp, k_n, path_n, planted, star,
+                     thirteen_triangles, triangle, two_k4_bridge_vertex)
 
 
 def _members(records):
@@ -256,3 +259,104 @@ def test_top1_is_densest_of_emit_all(seed):
     everything = ippv(g, PipelineConfig(h=3, k=1, emit_all=True))
     top = ippv(g, PipelineConfig(h=3, k=1))
     assert top[0].density == max(r.density for r in everything)
+
+
+def _instances(g, kind):
+    if isinstance(kind, int):
+        return enumerate_cliques(g, kind)
+    return enumerate_patterns(g, kind)
+
+
+def _query(g, kind, cfg, **kwargs):
+    if isinstance(kind, int):
+        return ippv(g, dataclasses.replace(cfg, h=kind), **kwargs)
+    return ippv_pattern(g, kind, cfg, **kwargs)
+
+
+def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
+    """Runs the query and checks its pass against one rebuilt from
+    whole-graph calls: each clique-free vertex pruned with bounds 0/0, the
+    same bounds, and as candidates the clique-bearing components of the
+    whole-graph survivors, densest first. Every record must pass
+    whole-graph verification. Returns the records and the event."""
+    cs = _instances(g, kind)
+    stats = RunStats()
+    events = []
+    got = _query(g, kind, cfg, stats=stats, on_round=events.append)
+    (ev,) = events
+    for v in range(g.n):
+        if not cs.degree[v]:
+            assert v in ev.pruned
+            assert ev.bounds.upper[v] == ev.bounds.lower[v] == 0
+    assert stats.pruned_vertices == len(ev.pruned)
+
+    ws = run_iterations(init_weights(cs), cfg.iterations)
+    bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
+    _, bounds = derive_stable_groups(tentative_decomposition(cs, ws), ws,
+                                     cs, bounds)
+    assert ev.bounds == bounds
+    surviving = prune(g, bounds, cs)
+    # a clique-free vertex with no clique-bearing neighbour survives the
+    # whole-graph rules, but no candidate holds it
+    alive = set(surviving)
+    assert ev.pruned == tuple(v for v in range(g.n)
+                              if v not in alive or not cs.degree[v])
+    comps = [(-Fraction(count, len(comp)), comp)
+             for comp in connected_components(g, surviving)
+             if (count := cs.count_within(comp))]
+    assert ev.candidates == [comp for _, comp in sorted(comps)]
+
+    for r in got:
+        assert verify_basic(g, cs, r.members)
+        assert r.vertices == tuple(sorted(g.labels[v] for v in r.members))
+    return got, ev
+
+
+@pytest.mark.time_limit(20)  # all six kinds took about 1 s when measured
+@pytest.mark.parametrize("kind", [2, 3, 4, "diamond", "4loop",
+                                  "tailed-triangle"])
+def test_pass_on_the_clique_support(kind):
+    # the pass runs on the vertices in some clique (or instance); its event
+    # and records must read as a pass over the whole graph would
+    for seed in range(1, 4):
+        g = planted(seed, n=400, m=1200, blocks=6, size_lo=5, size_hi=8,
+                    p=0.8)
+        got, ev = _support_run(g, kind)
+        assert got and len(ev.pruned) < g.n
+
+
+def test_pass_on_an_empty_support():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    got, ev = _support_run(g, 3)
+    assert got == [] and ev.candidates == []
+    assert ev.pruned == tuple(range(6))
+
+
+def test_pass_on_a_support_of_every_vertex():
+    g = thirteen_triangles()
+    assert all(enumerate_cliques(g, 3).degree)
+    got, _ = _support_run(g, 3)
+    assert [r.members for r in got] == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_pass_on_the_support_keeps_whole_graph_ids_and_labels():
+    # isolated vertices 2 and 8, a pendant path 0-7-9 and a K4 on
+    # {1, 3, 5, 6}, with labels in no order
+    labels = [70, 10, 60, 20, 50, 30, 40, 0, 90, 80]
+    g = Graph.from_edges(10, [*clique_edges((1, 3, 5, 6)), (0, 7), (7, 9),
+                              (9, 1)], labels=labels)
+    for kind in (3, 4):
+        got, ev = _support_run(g, kind)
+        assert [(r.members, r.vertices) for r in got] == \
+            [((1, 3, 5, 6), (10, 20, 30, 40))]
+        assert ev.pruned == (0, 2, 4, 7, 8, 9)
+
+
+def test_pass_on_the_support_keeps_blocks_joined_by_a_clique_free_path():
+    # two K5s joined by the path 4-5-6-7-8, whose inner vertices lie in no
+    # triangle: the K5s stay two candidates and two records
+    g = Graph.from_edges(13, [*clique_edges(range(5)), (4, 5), (5, 6),
+                              (6, 7), (7, 8), *clique_edges(range(8, 13))])
+    got, ev = _support_run(g, 3)
+    assert ev.candidates == [(0, 1, 2, 3, 4), (8, 9, 10, 11, 12)]
+    assert [r.members for r in got] == ev.candidates
