@@ -24,9 +24,15 @@ The steering that decides the picks is float, and lives only inside
 pick counts indexed by clique id. Which member a clique tops up is decided
 by strict ``<`` on the float loads, so a single reordered rounding can move
 a tie, and with it the stable groups and the output; integer steering waits
-until the output's tie order no longer depends on them. Triangles (h = 3)
-take an unrolled argmin step; larger cliques and pattern instances take the
-generic one.
+until the output's tie order no longer depends on them.
+
+Each round's argmin has three forms, with the same picks. Triangles
+(h = 3) take a nested compare of the three loads, which measured about 10%
+faster than a running minimum there. h = 4 cliques and every pattern
+instance, which is 4-wide too, take an unrolled running minimum over the
+four members. Edges (h = 2) and cliques of 5 or more take the generic loop
+over positions. Each form replaces the minimum only on a strictly smaller
+load, in member order, so a tie goes to the first position in all three.
 """
 
 from __future__ import annotations
@@ -69,9 +75,11 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     Round t (starting at 1) scales all float loads by 1 - 1/(t+1), then
     walks cliques in id order adding 1/(t+1) to the float load of each
     clique's minimum-load member. Ties pick the smallest vertex id (member
-    tuples are sorted). T=0 is the identity. The exact shares and loads are
-    then written as new lists, so earlier references to them go stale, and
-    ``ws.den`` becomes h*(T+1)*lcm(1..h-1).
+    tuples are sorted). The argmin is nested at h = 3, a running minimum
+    at h = 4 and a loop over positions otherwise; all three pick alike.
+    T=0 is the identity. The exact shares and loads are then written as
+    new lists, so earlier references to them go stale, and ``ws.den``
+    becomes h*(T+1)*lcm(1..h-1).
 
     Raises ValueError, leaving ws unchanged, for negative ``rounds`` and for
     a state whose shares are not all equal, as ``init_weights`` makes them.
@@ -113,6 +121,18 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
                 else:
                     load[a] = la + gamma
                     p0[cid] += 1
+        elif h == 4:
+            p0, p1, p2, p3 = picks
+            for cid, (a, b, c, d) in enumerate(cliques):
+                x, v, p = load[a], a, p0
+                if (y := load[b]) < x:
+                    x, v, p = y, b, p1
+                if (y := load[c]) < x:
+                    x, v, p = y, c, p2
+                if (y := load[d]) < x:
+                    x, v, p = y, d, p3
+                load[v] = x + gamma
+                p[cid] += 1
         else:
             for cid, members in enumerate(cliques):
                 best_pos = 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from lhcds import (PATTERN_NAMES, CliqueSet, enumerate_cliques,
                    enumerate_patterns, init_weights, objective,
                    oracle_compact_numbers, run_iterations,
                    tentative_decomposition)
+from lhcds.cliques import _index_cliques
 from helpers import (gnp, k_n, planted, run_iterations_eager, share_rows,
                      share_sums, triangle)
 
@@ -146,6 +148,38 @@ def test_run_iterations_matches_eager_over_long_calls():
                enumerate_patterns(g, "diamond")):
         _assert_same_bits(run_iterations(init_weights(cs), 150),
                           run_iterations_eager(init_weights(cs), 150))
+
+
+def _one_instance_with_degrees(degree):
+    # instance 0 is (0, 1, 2, 3); member v then shares degree[v] - 1 more
+    # instances with three fresh vertices each, which come later in id order
+    raw = [(0, 1, 2, 3)]
+    fresh = 4
+    for v, d in enumerate(degree):
+        for _ in range(d - 1):
+            raw.append((v, fresh, fresh + 1, fresh + 2))
+            fresh += 3
+    return _index_cliques(4, sorted(raw), fresh)
+
+
+def test_four_wide_step_breaks_ties_by_position():
+    # the members in `low` have the least degree, so they tie for instance
+    # 0's least load in round 1: one of them is a strict minimum at each
+    # position, and two-, three- and four-way ties cover every pair of
+    # positions, with and without other instances. The first position of
+    # the tie takes the pick, as in the generic loop and the eager update
+    for size in (1, 2, 3, 4):
+        for low in combinations(range(4), size):
+            for base in (1, 2):
+                cs = _one_instance_with_degrees(
+                    [base if i in low else base + 1 for i in range(4)])
+                first = run_iterations(init_weights(cs), 1)
+                assert share_rows(first)[0] == \
+                    [30 if i == low[0] else 6 for i in range(4)], (low, base)
+                for rounds in (1, 2, 20):
+                    _assert_same_bits(
+                        run_iterations(init_weights(cs), rounds),
+                        run_iterations_eager(init_weights(cs), rounds))
 
 
 def test_only_the_uniform_state_iterates():
