@@ -164,10 +164,11 @@ def _one_instance_with_degrees(degree):
 
 def test_four_wide_step_breaks_ties_by_position():
     # the members in `low` have the least degree, so they tie for instance
-    # 0's least load in round 1: one of them is a strict minimum at each
-    # position, and two-, three- and four-way ties cover every pair of
-    # positions, with and without other instances. The first position of
-    # the tie takes the pick, as in the generic loop and the eager update
+    # 0's least load in round 1. A single low member puts the strict
+    # minimum at each position in turn; two-, three- and four-way ties
+    # cover every pair of positions; base 2 gives every member other
+    # instances. The tie's first position takes the pick, as in the generic
+    # loop and the eager update: its share is (1 + 4) * 6 over den 48
     for size in (1, 2, 3, 4):
         for low in combinations(range(4), size):
             for base in (1, 2):
