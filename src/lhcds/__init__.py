@@ -4,8 +4,9 @@ A locally densest subgraph is a connected vertex set whose h-clique density
 is matched by its own compactness (removing any j vertices kills at least
 density * j cliques) and that is maximal with that property. The library
 finds the top-k such sets exactly via iterative propose-prune-and-verify:
-approximate convex weight distribution bounds each vertex's compact
-number, pruning discards hopeless vertices, and an exact
+clique cores bound each vertex's compact number (for patterns other than
+the 4-clique, an approximate convex weight distribution tightens the
+bounds), pruning discards hopeless vertices, and an exact
 rational max-flow verification gates every emission. A pattern variant
 swaps h-cliques for any of six 4-vertex patterns, and a brute-force oracle
 provides ground truth on tiny graphs.

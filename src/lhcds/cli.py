@@ -29,7 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=3, help="clique size (default 3)")
     p.add_argument("--k", type=int, default=5, help="number of results (default 5)")
     p.add_argument("--iterations", type=int, default=20,
-                   help="weight-iteration rounds per proposal (default 20)")
+                   help="weight-iteration rounds of a pattern query's "
+                        "proposal; clique queries, 4clique included, run "
+                        "none (default 20)")
     p.add_argument("--verify", choices=("basic", "fast"), default="fast")
     p.add_argument("--pattern", choices=PATTERN_NAMES, default=None,
                    help="switch to pattern-density mode")

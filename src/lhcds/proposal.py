@@ -10,7 +10,9 @@ boundary cliques carry exactly zero weight across the boundary. Stable
 groups bound every member's compact number by the group's load range.
 
 Shares, loads and bounds here are exact integer numerators over the weight
-state's one denominator ``ws.den``, so every comparison is exact.
+state's one denominator ``ws.den``, so every comparison is exact. The
+driver runs the proposal only for patterns other than the 4-clique; clique
+queries take their bounds from clique cores alone.
 """
 
 from __future__ import annotations

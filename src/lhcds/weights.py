@@ -26,13 +26,13 @@ by strict ``<`` on the float loads, so a single reordered rounding can move
 a tie, and with it the stable groups and the output; integer steering waits
 until the output's tie order no longer depends on them.
 
-Each round's argmin has three forms, with the same picks. Triangles
-(h = 3) take a nested compare of the three loads, which measured about 10%
-faster than a running minimum there. h = 4 cliques and every pattern
-instance, which is 4-wide too, take an unrolled running minimum over the
-four members. Edges (h = 2) and cliques of 5 or more take the generic loop
-over positions. Each form replaces the minimum only on a strictly smaller
-load, in member order, so a tie goes to the first position in all three.
+The library runs the iteration only for pattern queries: a clique query
+takes its bounds from clique cores alone (see ``pipeline``). Each round's
+argmin has two forms, with the same picks. Pattern instances and h = 4
+cliques, all 4 wide, take an unrolled running minimum over the four
+members. Every other width takes the generic loop over positions. Both
+replace the minimum only on a strictly smaller load, in member order, so a
+tie goes to the first position in both.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     Round t (starting at 1) scales all float loads by 1 - 1/(t+1), then
     walks cliques in id order adding 1/(t+1) to the float load of each
     clique's minimum-load member. Ties pick the smallest vertex id (member
-    tuples are sorted). The argmin is nested at h = 3, a running minimum
-    at h = 4 and a loop over positions otherwise; all three pick alike.
+    tuples are sorted). The argmin is a running minimum at h = 4 and a
+    loop over positions otherwise; both pick alike.
     T=0 is the identity. The exact shares and loads are then written as
     new lists, so earlier references to them go stale, and ``ws.den``
     becomes h*(T+1)*lcm(1..h-1).
@@ -102,26 +102,7 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
         keep = 1.0 - gamma
         for v in in_cliques:
             load[v] *= keep
-        if h == 3:
-            p0, p1, p2 = picks
-            for cid, (a, b, c) in enumerate(cliques):
-                la = load[a]
-                lb = load[b]
-                lc = load[c]
-                if lb < la:
-                    if lc < lb:
-                        load[c] = lc + gamma
-                        p2[cid] += 1
-                    else:
-                        load[b] = lb + gamma
-                        p1[cid] += 1
-                elif lc < la:
-                    load[c] = lc + gamma
-                    p2[cid] += 1
-                else:
-                    load[a] = la + gamma
-                    p0[cid] += 1
-        elif h == 4:
+        if h == 4:
             p0, p1, p2, p3 = picks
             for cid, (a, b, c, d) in enumerate(cliques):
                 x, v, p = load[a], a, p0

@@ -9,7 +9,9 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, permutations
 
 from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
-                   parse_edge_list, restrict_cliques)
+                   derive_stable_groups, init_weights, initialize_bounds,
+                   parse_edge_list, restrict_cliques, run_iterations,
+                   tentative_decomposition)
 from lhcds.cliques import _index_cliques
 from lhcds.proposal import _no_weight_crosses
 
@@ -302,6 +304,22 @@ def exact_bounds(core, h: int, den: int) -> Bounds:
     assert all(x.denominator == 1 for x in lower)
     return Bounds(upper=[c * den for c in core],
                   lower=[int(x) for x in lower], den=den)
+
+
+def core_bounds(cs) -> Bounds:
+    """A clique query's pass bounds: upper = core and lower = core/h, over
+    the denominator h."""
+    return initialize_bounds(clique_core_numbers(cs), cs.h, cs.h)
+
+
+def proposal(cs, rounds: int):
+    """A pattern query's proposal over cs: ``rounds`` weight rounds, the
+    tentative decomposition and stable groups, which tighten the core
+    bounds. Returns the groups and the tightened bounds."""
+    ws = run_iterations(init_weights(cs), rounds)
+    return derive_stable_groups(
+        tentative_decomposition(cs, ws), ws, cs,
+        initialize_bounds(clique_core_numbers(cs), cs.h, ws.den))
 
 
 def is_stable_group(candidate, ws, cs) -> bool:

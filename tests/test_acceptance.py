@@ -2,8 +2,11 @@
 
 Criteria 1, 2, 4 and 5 share one instrumented sweep over 200 seeded random
 graphs (n in [4, 10], edge probability in {0.3, 0.5, 0.7}) at h in {2, 3, 4},
-comparing every run against the subset-enumeration oracle. Run with
-``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
+comparing every run against the subset-enumeration oracle. A clique query's
+bounds come from cores, so criterion 4 also checks the bounds of the
+proposal that pattern queries run (20 weight rounds) on the same graphs.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
+lines.
 """
 
 import random
@@ -20,8 +23,8 @@ from lhcds import (PipelineConfig, RunStats, enumerate_cliques, ippv,
                    oracle_compact_numbers, oracle_lhcds, Graph)
 from lhcds.cli import main as cli_main
 from lhcds.oracle import _mask_to_tuple, compact_table
-from helpers import (clique_edges, gnp, k_n, lds_bruteforce, suite_graphs,
-                     thirteen_triangles, two_k4_bridge_vertex)
+from helpers import (clique_edges, gnp, k_n, lds_bruteforce, proposal,
+                     suite_graphs, thirteen_triangles, two_k4_bridge_vertex)
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -35,6 +38,7 @@ class SuiteOutcome:
     disagreements: int = 0
     verify_calls: int = 0
     bound_violations: int = 0
+    proposal_bound_violations: int = 0
     prune_violations: int = 0
     elapsed: float = 0.0
     h2_results: dict = field(default_factory=dict)
@@ -69,6 +73,10 @@ def suite() -> SuiteOutcome:
                 for v in ev.pruned:
                     if v in member_union:
                         out.prune_violations += 1
+            _, b = proposal(enumerate_cliques(g, h), 20)
+            out.proposal_bound_violations += sum(
+                not (b.lower[u] <= phi[u] * b.den <= b.upper[u])
+                for u in range(g.n))
             produced = sorted((r.members, r.density) for r in got)
             if produced != sorted(expected):
                 out.mismatches.append((gi, h, produced, sorted(expected)))
@@ -117,9 +125,10 @@ def test_criterion_03_derive_compact_exactness():
 
 
 def test_criterion_04_bound_soundness(suite):
-    ok = suite.bound_violations == 0
+    ok = suite.bound_violations == suite.proposal_bound_violations == 0
     _report(4, "bounds sandwich the exact compact numbers at every round", ok)
     assert suite.bound_violations == 0
+    assert suite.proposal_bound_violations == 0
 
 
 def test_criterion_05_pruning_safety(suite):

@@ -140,8 +140,8 @@ def test_stats_on_stderr(k5_file, capsys):
     payload = json.loads(captured.err.strip().split("\n")[-1])
     assert payload["clique_count"] == 10
     assert payload["rounds"] >= 1
-    # the one round runs 20 weight rounds over all 10 triangles
-    assert payload["fw_updates"] == 20 * 10 * payload["rounds"]
+    # a clique query takes its bounds from cores: no weight round runs
+    assert payload["fw_updates"] == payload["max_iterations_used"] == 0
     # every K5 vertex lies in 6 triangles: no densest check needs a network
     assert payload["densest_certified"] == payload["densest_checks"] == 1
     # the K5 is the whole graph: its bounds accept it without a network
@@ -153,5 +153,15 @@ def test_stats_on_stderr(k5_file, capsys):
     fields = {f.name for f in dataclasses.fields(RunStats)}
     assert fields <= payload.keys()
     assert payload.keys() - fields == {"n", "m", "flow_calls", "wall_seconds"}
-    assert payload["max_iterations_used"] == 20
     assert payload["verify_disagreements"] == 0
+
+
+def test_pattern_stats_count_weight_rounds(k5_file, capsys):
+    # a pattern query runs the proposal: 20 weight rounds over all 30
+    # diamonds of the K5 (3 per edge)
+    main(["--input", str(k5_file), "--pattern", "diamond", "--k", "1",
+          "--stats"])
+    payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+    assert payload["clique_count"] == 30
+    assert payload["max_iterations_used"] == 20
+    assert payload["fw_updates"] == 20 * 30 * payload["rounds"]

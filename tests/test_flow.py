@@ -349,7 +349,7 @@ def test_verify_fast_flow_path_walks_cliques():
         verify_fast(g, _unwalkable(cs), (0, 1, 2, 3), bounds)
 
 
-def test_verify_fast_degrees_match_recomputed():
+def test_verify_fast_count_matches_recomputed():
     # the driver passes the clique count it already has; without it the
     # call counts its own. Either way, for s in any order, the verdict and
     # the path are the same

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Graph, PipelineConfig, RunStats, clique_core_numbers,
-                   connected_components, derive_stable_groups,
-                   enumerate_cliques, enumerate_patterns, flow, init_weights,
-                   initialize_bounds, ippv, ippv_pattern,
-                   oracle_compact_numbers, oracle_lhcds, prune, run_iterations,
-                   tentative_decomposition, verify_basic)
-from helpers import (clique_edges, gnp, k_n, path_n, planted, star,
-                     thirteen_triangles, triangle, two_k4_bridge_vertex)
+from lhcds import (Graph, PipelineConfig, RunStats, connected_components,
+                   enumerate_cliques, enumerate_patterns, flow, ippv,
+                   ippv_pattern, oracle_compact_numbers, oracle_lhcds, prune,
+                   verify_basic)
+from helpers import (clique_edges, core_bounds, gnp, k_n, path_n, planted,
+                     proposal, star, thirteen_triangles, triangle,
+                     two_k4_bridge_vertex)
 
 
 def _members(records):
@@ -59,7 +58,8 @@ def test_emit_all_matches_oracle():
 def test_emit_all_matches_oracle_at_its_cap():
     # the acceptance suite stops at 10 vertices; these are 11 and 12, the
     # oracle's cap. Every set emit_all finds with cross_check is the
-    # oracle's, and the bounds of every round bracket the compact numbers
+    # oracle's, and the bounds of every round bracket the compact numbers,
+    # as do the proposal's after 20 weight rounds
     rng = random.Random(1122)
     runs = 0
     for i in range(10):
@@ -73,8 +73,8 @@ def test_emit_all_matches_oracle_at_its_cap():
                        stats=stats, on_round=events.append)
             assert sorted(_members(got)) == sorted(oracle_lhcds(g, h))
             assert stats.verify_disagreements == 0
-            for ev in events:
-                b = ev.bounds
+            _, tightened = proposal(enumerate_cliques(g, h), 20)
+            for b in [ev.bounds for ev in events] + [tightened]:
                 assert all(b.lower[v] <= phi[v] * b.den <= b.upper[v]
                            for v in range(g.n))
             runs += bool(got)
@@ -124,16 +124,20 @@ def test_stats_counters():
 
 
 def test_fw_updates_counts_every_round():
-    # one propose pass on the whole graph: one clique step per clique, per
-    # weight round; the worklist after it runs no weight iteration
+    # a pattern query's one pass runs one instance step per instance, per
+    # weight round, and the worklist after it runs no weight iteration; a
+    # clique query, the 4clique pattern too, runs no weight round at all
     g = planted(1, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     cfg = PipelineConfig(h=3, k=3)
-    cs = enumerate_cliques(g, 3)
-    stats = RunStats()
-    events = []
-    ippv(g, cfg, stats=stats, on_round=events.append)
-    assert len(events) == stats.rounds == 1
-    assert stats.fw_updates == cfg.iterations * len(cs.cliques) > 0
+    for kind, rounds in ((3, 0), ("4clique", 0), ("diamond", cfg.iterations)):
+        cs = _instances(g, kind)
+        stats = RunStats()
+        events = []
+        _query(g, kind, cfg, stats=stats, on_round=events.append)
+        assert len(events) == stats.rounds == 1
+        assert stats.max_iterations_used == rounds
+        assert stats.fw_updates == rounds * len(cs.cliques)
+        assert cs.cliques, kind
 
 
 @pytest.mark.time_limit(10)
@@ -229,14 +233,14 @@ def _assert_terminates(g, cfg):
     cs = enumerate_cliques(g, cfg.h)
     assert all(verify_basic(g, cs, r.members) for r in got)
     assert stats.rounds == 1 == len(events)
-    assert stats.max_iterations_used == cfg.iterations
+    assert stats.max_iterations_used == stats.fw_updates == 0
 
 
 @pytest.mark.time_limit(10)
 def test_terminates_on_non_self_densest_working_set():
-    # Here the proposal returns an 87-vertex candidate of density 52/29,
-    # which is not self-densest, as one stable group at any iteration count;
-    # only splitting it by its flow witness gets past it.
+    # Here the pass proposes a 179-vertex candidate of density 968/179,
+    # which is not self-densest (the proposal's bounds at 20 weight rounds
+    # propose it too); only splitting it by its flow witness gets past it.
     g = planted(1, n=1500, m=10_000, blocks=20, size_lo=6, size_hi=14, p=0.7)
     _assert_terminates(g, PipelineConfig(h=3, k=10))
 
@@ -246,6 +250,21 @@ def test_terminates_on_non_self_densest_working_set():
 def test_terminates_emit_all_planted(seed):
     g = planted(seed, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     _assert_terminates(g, PipelineConfig(h=3, k=1, emit_all=True))
+
+
+@pytest.mark.time_limit(10)  # took about 0.2 s when measured
+@pytest.mark.parametrize("seed", [9, 14])
+def test_clique_answers_ignore_iterations(seed):
+    # With the proposal's bounds, the top-5 answers on these two graphs of
+    # ROADMAP item 1's family moved with the weight rounds (5, 20, 100). A
+    # clique query takes its bounds from cores, so the rounds cannot move
+    # them
+    g = planted(seed, n=3000, m=12000, blocks=20, size_lo=6, size_hi=10,
+                p=1.0)
+    got = [_members(ippv(g, PipelineConfig(h=3, k=5, iterations=rounds)))
+           for rounds in (5, 20, 100)]
+    assert len(got[0]) == 5
+    assert got[0] == got[1] == got[2]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
@@ -276,9 +295,11 @@ def _query(g, kind, cfg, **kwargs):
 def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
     """Runs the query and checks its pass against one rebuilt from
     whole-graph calls: each clique-free vertex pruned with bounds 0/0, the
-    same bounds, and as candidates the clique-bearing components of the
-    whole-graph survivors, densest first. Every record must pass
-    whole-graph verification. Returns the records and the event."""
+    same bounds (core bounds for cliques, the 4clique pattern included, and
+    the proposal's for other patterns), and as candidates the
+    clique-bearing components of the whole-graph survivors, densest first.
+    Every record must pass whole-graph verification. Returns the records
+    and the event."""
     cs = _instances(g, kind)
     stats = RunStats()
     events = []
@@ -290,10 +311,12 @@ def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
             assert ev.bounds.upper[v] == ev.bounds.lower[v] == 0
     assert stats.pruned_vertices == len(ev.pruned)
 
-    ws = run_iterations(init_weights(cs), cfg.iterations)
-    bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
-    _, bounds = derive_stable_groups(tentative_decomposition(cs, ws), ws,
-                                     cs, bounds)
+    if isinstance(kind, int) or kind == "4clique":
+        bounds = core_bounds(cs)
+        assert stats.fw_updates == 0
+    else:
+        _, bounds = proposal(cs, cfg.iterations)
+        assert stats.fw_updates == cfg.iterations * len(cs.cliques)
     assert ev.bounds == bounds
     surviving = prune(g, bounds, cs)
     # a clique-free vertex with no clique-bearing neighbour survives the
@@ -312,8 +335,8 @@ def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
     return got, ev
 
 
-@pytest.mark.time_limit(20)  # all six kinds took about 1 s when measured
-@pytest.mark.parametrize("kind", [2, 3, 4, "diamond", "4loop",
+@pytest.mark.time_limit(20)  # all seven kinds took about 1 s when measured
+@pytest.mark.parametrize("kind", [2, 3, 4, "4clique", "diamond", "4loop",
                                   "tailed-triangle"])
 def test_pass_on_the_clique_support(kind):
     # the pass runs on the vertices in some clique (or instance); its event

@@ -8,8 +8,8 @@ from lhcds import (Bounds, Graph, PipelineConfig, clique_core_numbers,
                    enumerate_cliques, enumerate_patterns, induced_subgraph,
                    init_weights, initialize_bounds, ippv, ippv_pattern, prune,
                    run_iterations, tentative_decomposition)
-from helpers import (clique_edges, exact_bounds, gnp, k_n, planted,
-                     prune_rebuild)
+from helpers import (clique_edges, core_bounds, exact_bounds, gnp, k_n,
+                     planted, proposal, prune_rebuild)
 
 
 def _bounds(upper, lower, den=4):
@@ -186,15 +186,25 @@ def _pass_event(g, kind, rounds):
     return events[0]
 
 
+def _candidates(g, cs, surviving):
+    """The clique-bearing components of the survivors, densest first."""
+    comps = [(-Fraction(count, len(comp)), comp)
+             for comp in connected_components(g, surviving)
+             if (count := cs.count_within(comp))]
+    return [c for _, c in sorted(comps)]
+
+
 @pytest.mark.time_limit(30)  # all seven kinds took about 5 s when measured
 @pytest.mark.parametrize("kind", [2, 3, 4, "diamond", "4loop",
                                   "tailed-triangle", "3star"])
 def test_survivors_never_span_two_stable_groups(kind):
-    # the pass's bounds come from stable groups, and its edge rule drops
+    # the proposal's bounds come from stable groups, and the edge rule drops
     # every vertex next to a higher group, so no surviving edge joins two
     # groups and the candidates are the clique-bearing components of each
-    # group's survivors, in the driver's order; the groups are rebuilt here
-    # from the pass's inputs at 1, 5 and 20 weight rounds
+    # group's survivors; the groups are rebuilt here at 1, 5 and 20 weight
+    # rounds. A pattern query's pass takes these bounds and candidates; a
+    # clique query's takes the core bounds and their candidates, whatever
+    # the rounds
     for seed in range(1, 6):
         g = planted(seed, n=400, m=1200, blocks=6, size_lo=5, size_hi=8,
                     p=0.8)
@@ -202,12 +212,8 @@ def test_survivors_never_span_two_stable_groups(kind):
               else enumerate_patterns(g, kind))
         for rounds in (1, 5, 20):
             ev = _pass_event(g, kind, rounds)
-            ws = run_iterations(init_weights(cs), rounds)
-            groups, local = derive_stable_groups(
-                tentative_decomposition(cs, ws), ws, cs,
-                initialize_bounds(clique_core_numbers(cs), cs.h, ws.den))
-            assert local == ev.bounds
-            surviving = tuple(sorted(set(range(g.n)).difference(ev.pruned)))
+            groups, bounds = proposal(cs, rounds)
+            surviving = [v for v in prune(g, bounds, cs) if cs.degree[v]]
             assert _cross_edges(g, groups, surviving) == [], (seed, rounds)
             alive = set(surviving)
             per_group = []
@@ -217,5 +223,15 @@ def test_survivors_never_span_two_stable_groups(kind):
                     count = cs.count_within(comp)
                     if count:
                         per_group.append((-Fraction(count, len(comp)), comp))
-            assert ev.candidates == [c for _, c in sorted(per_group)], \
+            candidates = _candidates(g, cs, surviving)
+            assert candidates == [c for _, c in sorted(per_group)], \
                 (seed, rounds)
+            if isinstance(kind, int):
+                bounds = core_bounds(cs)
+                surviving = [v for v in prune(g, bounds, cs)
+                             if cs.degree[v]]
+                candidates = _candidates(g, cs, surviving)
+            assert ev.bounds == bounds
+            assert set(ev.pruned).isdisjoint(surviving)
+            assert len(ev.pruned) + len(surviving) == g.n
+            assert ev.candidates == candidates, (seed, rounds)
