@@ -10,8 +10,8 @@ Run: python3 demos/02_weight_iteration.py
 
 from itertools import combinations
 
-from lhcds import (Graph, enumerate_cliques, init_weights, objective,
-                   oracle_compact_numbers, run_iterations)
+from lhcds import (Graph, enumerate_cliques, objective, oracle_compact_numbers,
+                   run_iterations)
 
 # a K5 with a K4 grafted on (sharing vertex 4): two density levels
 edges = sorted(set(combinations(range(5), 2)) | set(combinations(range(4, 8), 2)))
@@ -23,7 +23,7 @@ print("exact compact numbers:", [str(x) for x in phi])
 
 print(f"\n{'rounds':>7} {'objective':>10}  loads")
 for rounds in (0, 1, 5, 20, 100, 1000, 10000):
-    ws = run_iterations(init_weights(cs), rounds)
+    ws = run_iterations(cs, rounds)
     loads = [x / ws.den for x in ws.load]
     print(f"{rounds:>7} {objective(ws):>10.4f}  "
           + " ".join(f"{x:6.3f}" for x in loads))

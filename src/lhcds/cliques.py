@@ -237,10 +237,6 @@ class Bounds:
     lower: list[int]
     den: int
 
-    def copy(self) -> "Bounds":
-        return Bounds(upper=list(self.upper), lower=list(self.lower),
-                      den=self.den)
-
 
 def initialize_bounds(core: Sequence[int], h: int, den: int) -> Bounds:
     """Initial bounds from core numbers over ``den``: upper = core, lower =

@@ -93,7 +93,8 @@ from .graph import Graph, VertexSet, connected_components, induced_subgraph
 from .patterns import enumerate_patterns
 from .proposal import derive_stable_groups, tentative_decomposition
 from .pruning import prune
-from .weights import init_weights, run_iterations
+from .weights import init_weights  # noqa: F401  (perfbench traces it here)
+from .weights import run_iterations
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,10 @@ def _run(g: Graph, cs: CliqueSet, cliques: bool, cfg: PipelineConfig,
         bounds = initialize_bounds(clique_core_numbers(cs), cs.h, cs.h)
     else:
         stats.max_iterations_used = cfg.iterations
-        ws = run_iterations(init_weights(cs), cfg.iterations)
+        ws = run_iterations(cs, cfg.iterations)
         stats.fw_updates += cfg.iterations * len(cs.cliques)
-        bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
-        _, bounds = derive_stable_groups(tentative_decomposition(cs, ws),
-                                         ws, cs, bounds)
+        _, bounds = derive_stable_groups(tentative_decomposition(ws), ws,
+                                         clique_core_numbers(cs))
     surviving = prune(g, bounds, cs)
     candidates = _as_candidates(g, cs, (surviving,))
     stats.candidates_proposed += len(candidates)

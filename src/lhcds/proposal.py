@@ -9,10 +9,11 @@ they form stable groups: blocks separated from the rest in load, whose
 boundary cliques carry exactly zero weight across the boundary. Stable
 groups bound every member's compact number by the group's load range.
 
-Shares, loads and bounds here are exact integer numerators over the weight
-state's one denominator ``ws.den``, so every comparison is exact. The
-driver runs the proposal only for patterns other than the 4-clique; clique
-queries take their bounds from clique cores alone.
+Every step reads its instances from the weight state ``ws.cs``. Shares,
+loads and bounds here are exact integer numerators over the state's one
+denominator ``ws.den``, so every comparison is exact. The driver runs the
+proposal only for patterns other than the 4-clique; clique queries take
+their bounds from clique cores alone.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import itemgetter, ne
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .cliques import Bounds, CliqueSet
+from .cliques import Bounds, initialize_bounds
 from .graph import VertexSet
 from .weights import WeightState
 
@@ -40,7 +41,7 @@ class Partition:
     spanning: list[int]
 
 
-def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
+def tentative_decomposition(ws: WeightState) -> Partition:
     """Partition by load-descending prefix-density records and reassign weight.
 
     Vertices are sorted by descending exact load, ties by ascending id. Cut
@@ -61,11 +62,11 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
     columns of sort positions, so only the spanning cliques are visited one
     by one.
     """
-    n = len(cs.degree)
-    cliques = cs.cliques
-    h = cs.h
+    cliques = ws.cs.cliques
+    h = ws.cs.h
     share = ws.share
     load = ws.load
+    n = len(load)
     # descending load, ties by ascending id: a reverse sort keeps equal keys
     # in input order
     order = sorted(range(n), key=load.__getitem__, reverse=True)
@@ -124,16 +125,17 @@ def tentative_decomposition(cs: CliqueSet, ws: WeightState) -> Partition:
 
 
 def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: int,
-                       hi: int, ws: WeightState, cs: CliqueSet) -> bool:
+                       hi: int, ws: WeightState) -> bool:
     """Conditions (2)/(3) over the cliques ``cids`` only: a clique joining
     the members to a vertex above ``hi`` carries share 0 on that vertex, and
     one joining them to a vertex below ``lo`` carries share 0 on every
     member."""
     load = ws.load
     share = ws.share
-    h = cs.h
+    cliques = ws.cs.cliques
+    h = ws.cs.h
     for cid in cids:
-        clique = cs.cliques[cid]
+        clique = cliques[cid]
         base = cid * h
         low_checked = False
         for i, w in enumerate(clique):
@@ -150,15 +152,15 @@ def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: int,
     return True
 
 
-def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
-                         bounds: Bounds) -> tuple[list[VertexSet], Bounds]:
-    """Greedily merge consecutive blocks into stable groups and tighten bounds.
+def derive_stable_groups(partition: Partition, ws: WeightState,
+                         core: Sequence[int]) -> tuple[list[VertexSet], Bounds]:
+    """Greedily merge consecutive blocks into stable groups and tighten the
+    bounds ``initialize_bounds(core, h, ws.den)`` of the clique cores.
 
     For every member u of a stable group: upper[u] shrinks to the group's
     maximum exact load and lower[u] grows to its minimum. Tightening never
     widens an interval. Groups are returned in the partition's
-    descending-load order. Raises ValueError when the bounds are not over
-    the weight state's denominator.
+    descending-load order.
 
     Separation is tested first, by bisect on the sorted loads; only a merge
     that passes it scans the partition's spanning cliques that touch it for
@@ -167,9 +169,8 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
     hence wholly inside the group, and has no outside member that could
     carry or receive weight across its boundary.
     """
-    if bounds.den != ws.den:
-        raise ValueError(f"bounds over {bounds.den}, loads over {ws.den}")
-    out = bounds.copy()
+    cliques = ws.cs.cliques
+    out = initialize_bounds(core, ws.cs.h, ws.den)
     load = ws.load
     all_loads = sorted(load)
 
@@ -181,8 +182,8 @@ def derive_stable_groups(partition: Partition, ws: WeightState, cs: CliqueSet,
         member_set = set(members)
         return _no_weight_crosses(
             (cid for cid in partition.spanning
-             if not member_set.isdisjoint(cs.cliques[cid])),
-            member_set, lo, hi, ws, cs)
+             if not member_set.isdisjoint(cliques[cid])),
+            member_set, lo, hi, ws)
 
     sets: list[tuple[list[int], int, int]] = []
     acc: list[int] = []

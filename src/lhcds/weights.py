@@ -23,8 +23,12 @@ The steering that decides the picks is float, and lives only inside
 ``run_iterations``: float loads, rescaled every round, and per-position
 pick counts indexed by clique id. Which member a clique tops up is decided
 by strict ``<`` on the float loads, so a single reordered rounding can move
-a tie, and with it the stable groups and the output; integer steering waits
-until the output's tie order no longer depends on them.
+a tie, and with it the stable groups and the output. Exact integer
+steering (N starts at the degrees, +h per pick) was measured and is not
+used: it sends every exact tie to the first position, where the float
+roundings spread ties among positions, and on the diamond bench graph
+that loosened the bounds, cost more densest checks and flows, and ranked
+an 84-density set ahead of denser ones.
 
 The library runs the iteration only for pattern queries: a clique query
 takes its bounds from clique cores alone (see ``pipeline``). Each round's
@@ -62,37 +66,25 @@ class WeightState:
 
 def init_weights(cs: CliqueSet) -> WeightState:
     """Uniform start: every share is 1/h, so load(u) = degree(u)/h."""
-    h = cs.h
-    scale = lcm(*range(1, h))
-    return WeightState(cs=cs, share=[scale] * (h * len(cs.cliques)),
-                       load=[d * scale for d in cs.degree], den=h * scale)
+    return run_iterations(cs, 0)
 
 
-def run_iterations(ws: WeightState, rounds: int) -> WeightState:
-    """Run ``rounds`` sequential Frank-Wolfe rounds from the uniform state ws
-    and return ws.
+def run_iterations(cs: CliqueSet, rounds: int) -> WeightState:
+    """The exact weight state after ``rounds`` sequential Frank-Wolfe rounds
+    over cs from the uniform start.
 
     Round t (starting at 1) scales all float loads by 1 - 1/(t+1), then
     walks cliques in id order adding 1/(t+1) to the float load of each
     clique's minimum-load member. Ties pick the smallest vertex id (member
     tuples are sorted). The argmin is a running minimum at h = 4 and a
-    loop over positions otherwise; both pick alike.
-    T=0 is the identity. The exact shares and loads are then written as
-    new lists, so earlier references to them go stale, and ``ws.den``
-    becomes h*(T+1)*lcm(1..h-1).
-
-    Raises ValueError, leaving ws unchanged, for negative ``rounds`` and for
-    a state whose shares are not all equal, as ``init_weights`` makes them.
+    loop over positions otherwise; both pick alike. The state's ``den`` is
+    h*(T+1)*lcm(1..h-1). Raises ValueError for negative ``rounds``.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    share = ws.share
-    if share and share.count(share[0]) != len(share):
-        raise ValueError("run_iterations starts from the uniform state "
-                         "of init_weights")
-    cliques = ws.cs.cliques
-    degree = ws.cs.degree
-    h = ws.cs.h
+    cliques = cs.cliques
+    degree = cs.degree
+    h = cs.h
     load = [d / h for d in degree]
     # a vertex in no clique keeps load 0.0, which scaling leaves 0.0
     in_cliques = [v for v, d in enumerate(degree) if d]
@@ -128,14 +120,12 @@ def run_iterations(ws: WeightState, rounds: int) -> WeightState:
     # one int object per distinct count, shared by every equal share
     scale = lcm(*range(1, h))
     value = [(1 + h * c) * scale for c in range(rounds + 1)]
-    ws.share = list(map(value.__getitem__,
-                        chain.from_iterable(zip(*picks))))
+    share = list(map(value.__getitem__, chain.from_iterable(zip(*picks))))
     exact = [0] * len(degree)
-    for v, x in zip(chain.from_iterable(cliques), ws.share):
+    for v, x in zip(chain.from_iterable(cliques), share):
         exact[v] += x
-    ws.load = exact
-    ws.den = h * (rounds + 1) * scale
-    return ws
+    return WeightState(cs=cs, share=share, load=exact,
+                       den=h * (rounds + 1) * scale)
 
 
 def objective(ws: WeightState) -> float:

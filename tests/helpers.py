@@ -8,12 +8,10 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, combinations, permutations
 
-from lhcds import (Bounds, CliqueSet, Graph, clique_core_numbers,
-                   derive_stable_groups, init_weights, initialize_bounds,
-                   parse_edge_list, restrict_cliques, run_iterations,
-                   tentative_decomposition)
+from lhcds import (Bounds, CliqueSet, Graph, WeightState, clique_core_numbers,
+                   derive_stable_groups, initialize_bounds, parse_edge_list,
+                   restrict_cliques, run_iterations, tentative_decomposition)
 from lhcds.cliques import _index_cliques
-from lhcds.proposal import _no_weight_crosses
 
 
 def clique_edges(vertices) -> list[tuple[int, int]]:
@@ -199,22 +197,23 @@ def pattern_counts_bruteforce(g: Graph, pattern: str) -> Counter:
     return counts
 
 
-def run_iterations_eager(ws, rounds: int):
-    """Reference weight iteration: the plain per-clique update, in place.
+def run_iterations_eager(cs, rounds: int) -> WeightState:
+    """Reference weight iteration: the plain per-clique update.
 
     Every round rescales each float load by 1 - 1/(t+1) with ``*=``, then
     walks cliques in id order, finds the minimum-load member with a strict
     ``<`` (so the smallest position wins ties) and adds 1/(t+1) to its load.
     The float loads start from degree/h and only steer the picks. Shares are
     exact: each starts at 1/h, is multiplied by t/(t+1), and the picked one
-    gains 1/(t+1), all in ``Fraction``s. ``ws.share`` becomes those shares
-    and ``ws.load`` their per-vertex sums, both as ``Fraction``s;
-    ``run_iterations`` must hold them as numerators over its ``den``.
+    gains 1/(t+1), all in ``Fraction``s. The state returned holds those
+    shares and their per-vertex sums as loads, both as ``Fraction``s over
+    ``den`` 1; ``run_iterations`` must hold them as numerators over its
+    ``den``.
     """
-    cliques = ws.cs.cliques
-    h = ws.cs.h
-    share = [Fraction(1, h)] * len(ws.share)
-    load = [d / h for d in ws.cs.degree]
+    cliques = cs.cliques
+    h = cs.h
+    share = [Fraction(1, h)] * (h * len(cliques))
+    load = [d / h for d in cs.degree]
     for t in range(1, rounds + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
@@ -234,7 +233,7 @@ def run_iterations_eager(ws, rounds: int):
                     best_pos = i
             share[cid * h + best_pos] += exact_gamma
             load[members[best_pos]] = best + gamma
-    ws.share = share
+    ws = WeightState(cs=cs, share=share, load=[], den=1)
     ws.load = share_sums(ws)
     return ws
 
@@ -316,13 +315,12 @@ def proposal(cs, rounds: int):
     """A pattern query's proposal over cs: ``rounds`` weight rounds, the
     tentative decomposition and stable groups, which tighten the core
     bounds. Returns the groups and the tightened bounds."""
-    ws = run_iterations(init_weights(cs), rounds)
-    return derive_stable_groups(
-        tentative_decomposition(cs, ws), ws, cs,
-        initialize_bounds(clique_core_numbers(cs), cs.h, ws.den))
+    ws = run_iterations(cs, rounds)
+    return derive_stable_groups(tentative_decomposition(ws), ws,
+                                clique_core_numbers(cs))
 
 
-def is_stable_group(candidate, ws, cs) -> bool:
+def is_stable_group(candidate, ws) -> bool:
     """Def-checked stability of a candidate vertex set.
 
     (1) every outside vertex's load lies strictly above the candidate's
@@ -340,28 +338,41 @@ def is_stable_group(candidate, ws, cs) -> bool:
     for v, x in enumerate(load):
         if v not in members and lo <= x <= hi:
             return False
-    incident = set(chain.from_iterable(map(cs.incidence.__getitem__, members)))
-    return _no_weight_crosses(incident, members, lo, hi, ws, cs)
+    cs = ws.cs
+    rows = share_rows(ws)
+    for cid in set(chain.from_iterable(map(cs.incidence.__getitem__,
+                                           members))):
+        pairs = list(zip(cs.cliques[cid], rows[cid]))
+        on_members = any(x for v, x in pairs if v in members)
+        for w, x in pairs:
+            if w in members:
+                continue
+            if load[w] > hi and x:  # (2)
+                return False
+            if load[w] < lo and on_members:  # (3)
+                return False
+    return True
 
 
-def stable_groups_reference(partition, ws, cs, bounds):
+def stable_groups_reference(partition, ws, core):
     """``derive_stable_groups`` with every stability check made by
     ``is_stable_group``: the separation by a scan of every load, the
-    share conditions over every clique incident to the candidate. Returns
-    the groups and the tightened bounds."""
+    share conditions over every clique incident to the candidate, and the
+    bounds seeded by ``exact_bounds``. Returns the groups and the tightened
+    bounds."""
     sets: list[list[int]] = []
     acc: list[int] = []
     for block in partition.groups:
         acc += block
-        if is_stable_group(acc, ws, cs):
+        if is_stable_group(acc, ws):
             sets.append(acc)
             acc = []
     while acc:
-        if is_stable_group(acc, ws, cs):
+        if is_stable_group(acc, ws):
             sets.append(acc)
             break
         acc = sets.pop() + acc
-    out = bounds.copy()
+    out = exact_bounds(core, ws.cs.h, ws.den)
     groups = []
     for members in sets:
         lo = min(ws.load[v] for v in members)

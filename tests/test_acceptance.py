@@ -138,7 +138,7 @@ def test_criterion_05_pruning_safety(suite):
 
 
 def test_criterion_06_convergence():
-    from lhcds import init_weights, run_iterations
+    from lhcds import run_iterations
     fixtures = {
         "K4": k_n(4),
         "K5": k_n(5),
@@ -150,7 +150,7 @@ def test_criterion_06_convergence():
         phi = oracle_compact_numbers(g, 3)
         errs = []
         for rounds in (100, 1000, 10000):
-            ws = run_iterations(init_weights(cs), rounds)
+            ws = run_iterations(cs, rounds)
             errs.append(max(abs(Fraction(x, ws.den) - phi[v])
                             for v, x in enumerate(ws.load)))
         ok = ok and errs[2] <= Fraction(5, 100)

@@ -37,3 +37,20 @@ def test_every_seam_is_wrapped_inside_and_restored_after():
     assert tracer.counts["cliques.count"] == 8  # the two K4s' triangles
     for (module, attr, _), original in zip(plan, originals):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_pattern_query_runs_the_proposal_through_the_seams():
+    # only a non-clique pattern query runs the weight iteration, and the
+    # tracer reads its round count from the second positional argument
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, lhcds):
+        got = lhcds.ippv_pattern(two_k4_bridge_vertex(), "diamond",
+                                 lhcds.PipelineConfig(k=2))
+    assert len(got) == 2
+    instances = tracer.counts["patterns.instances"]
+    assert instances == 12  # six diamonds in each K4
+    assert tracer.counts["weights.fw_rounds"] == 20
+    assert tracer.counts["weights.fw_updates"] == 20 * instances
+    assert tracer.self_s["proposal.decompose"] > 0
+    assert tracer.self_s["proposal.stable"] > 0

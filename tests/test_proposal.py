@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Graph, enumerate_cliques, enumerate_patterns, init_weights,
-                   initialize_bounds, clique_core_numbers,
+from lhcds import (Graph, Partition, enumerate_cliques, enumerate_patterns,
+                   init_weights, initialize_bounds, clique_core_numbers,
                    derive_stable_groups, run_iterations,
                    tentative_decomposition)
 from helpers import (clique_edges, gnp, is_stable_group, k_n, planted,
@@ -14,10 +14,10 @@ from helpers import (clique_edges, gnp, is_stable_group, k_n, planted,
 
 def _propose(g, h, rounds):
     cs = enumerate_cliques(g, h)
-    ws = run_iterations(init_weights(cs), rounds)
-    partition = tentative_decomposition(cs, ws)
-    bounds = initialize_bounds(clique_core_numbers(cs), h, ws.den)
-    groups, bounds = derive_stable_groups(partition, ws, cs, bounds)
+    ws = run_iterations(cs, rounds)
+    partition = tentative_decomposition(ws)
+    groups, bounds = derive_stable_groups(partition, ws,
+                                          clique_core_numbers(cs))
     return cs, ws, partition, groups, bounds
 
 
@@ -63,9 +63,9 @@ def test_partition_blocks_cover_and_order():
     for _ in range(20):
         g = gnp(rng, rng.randint(3, 9), 0.5)
         cs = enumerate_cliques(g, 3)
-        ws = run_iterations(init_weights(cs), 20)
+        ws = run_iterations(cs, 20)
         sort_load = ws.load[:]  # the exact loads the sort reads
-        partition = tentative_decomposition(cs, ws)
+        partition = tentative_decomposition(ws)
         flat = [v for grp in partition.groups for v in grp]
         assert sorted(flat) == list(range(g.n))
         # blocks follow the sort-time load order
@@ -81,8 +81,8 @@ def test_reassignment_conserves_mass():
         g = gnp(rng, rng.randint(4, 9), 0.6)
         for h in (3, 4):
             cs = enumerate_cliques(g, h)
-            ws = run_iterations(init_weights(cs), 7)
-            tentative_decomposition(cs, ws)
+            ws = run_iterations(cs, 7)
+            tentative_decomposition(ws)
             for row in share_rows(ws):
                 assert sum(row) == ws.den
                 assert all(x >= 0 for x in row)
@@ -93,9 +93,9 @@ def test_reassignment_conserves_mass():
 def test_whole_set_always_stable():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
-    ws = run_iterations(init_weights(cs), 5)
-    tentative_decomposition(cs, ws)
-    assert is_stable_group(tuple(range(5)), ws, cs)
+    ws = run_iterations(cs, 5)
+    tentative_decomposition(ws)
+    assert is_stable_group(tuple(range(5)), ws)
 
 
 def test_outward_share_blocks_stability():
@@ -104,7 +104,27 @@ def test_outward_share_blocks_stability():
     # cannot be split off
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4), (1, 4)])
     cs = enumerate_cliques(g, 3)
-    assert not is_stable_group((4,), init_weights(cs), cs)
+    assert not is_stable_group((4,), init_weights(cs))
+
+
+def test_inward_share_blocks_stability():
+    # the same graph and a clique-free vertex 5, from the other side: the K4
+    # is separated in load from the lighter 4 and no vertex is heavier, but
+    # the triangle (0, 1, 4) carries weight on 0 and 1, so condition (3)
+    # alone keeps the K4 from closing a group before 4 joins it. Were the K4
+    # closed, 4 could close no group and the backward merge would take the
+    # K4 and 5 in too. The blocks are the uniform state's load order; the
+    # decomposition would have moved the triangle's weight onto 4 first
+    g = Graph.from_edges(6, clique_edges(range(4)) + [(0, 4), (1, 4)])
+    cs = enumerate_cliques(g, 3)
+    ws = init_weights(cs)
+    assert not is_stable_group((0, 1, 2, 3), ws)
+    partition = Partition(groups=[(0, 1, 2, 3), (4,), (5,)],
+                          spanning=[cs.cliques.index((0, 1, 4))])
+    core = clique_core_numbers(cs)
+    got = derive_stable_groups(partition, ws, core)
+    assert got[0] == [(0, 1, 2, 3, 4), (5,)]
+    assert got == stable_groups_reference(partition, ws, core)
 
 
 def test_derived_groups_disjoint_and_stable():
@@ -112,15 +132,16 @@ def test_derived_groups_disjoint_and_stable():
     for _ in range(25):
         g = gnp(rng, rng.randint(4, 9), 0.5)
         cs = enumerate_cliques(g, 3)
-        ws = run_iterations(init_weights(cs), 20)
-        partition = tentative_decomposition(cs, ws)
-        bounds = initialize_bounds(clique_core_numbers(cs), 3, ws.den)
-        groups, tightened = derive_stable_groups(partition, ws, cs, bounds)
+        ws = run_iterations(cs, 20)
+        partition = tentative_decomposition(ws)
+        core = clique_core_numbers(cs)
+        bounds = initialize_bounds(core, 3, ws.den)
+        groups, tightened = derive_stable_groups(partition, ws, core)
         seen = set()
         for grp in groups:
             assert not (set(grp) & seen)
             seen |= set(grp)
-            assert is_stable_group(grp, ws, cs)
+            assert is_stable_group(grp, ws)
         assert seen == set(range(g.n))
         for v in range(g.n):
             assert tightened.upper[v] <= bounds.upper[v]
@@ -142,14 +163,14 @@ def _seeded_clique_sets(mode):
         else:
             cs = enumerate_cliques(g, int(mode[1]))
         for rounds in (3, 20):
-            yield cs, run_iterations(init_weights(cs), rounds)
+            yield cs, run_iterations(cs, rounds)
 
 
 @pytest.mark.parametrize("mode", ["h3", "h4", "diamond"])
 def test_spanning_lists_cliques_across_blocks(mode):
     spanned = 0
     for cs, ws in _seeded_clique_sets(mode):
-        partition = tentative_decomposition(cs, ws)
+        partition = tentative_decomposition(ws)
         block_of = {v: b for b, grp in enumerate(partition.groups)
                     for v in grp}
         want = [cid for cid, members in enumerate(cs.cliques)
@@ -165,28 +186,22 @@ def test_stable_groups_match_full_incidence_scan(mode):
     # groups, and exactly the same bounds, as scanning every clique incident
     # to it
     for cs, ws in _seeded_clique_sets(mode):
-        partition = tentative_decomposition(cs, ws)
-        bounds = initialize_bounds(clique_core_numbers(cs), cs.h, ws.den)
-        before = bounds.copy()
-        groups, got = derive_stable_groups(partition, ws, cs, bounds)
-        assert bounds == before
-        want_groups, want = stable_groups_reference(partition, ws, cs, bounds)
-        assert groups == want_groups
-        assert got == want
+        partition = tentative_decomposition(ws)
+        core = clique_core_numbers(cs)
+        got = derive_stable_groups(partition, ws, core)
+        assert got == stable_groups_reference(partition, ws, core)
 
 
 def _checked_stable_groups(n, edges, rounds):
-    """derive_stable_groups on a triangle set, checked against the reference
-    and for leaving its bounds argument alone."""
+    """derive_stable_groups on a triangle set, checked against the
+    reference."""
     cs = enumerate_cliques(Graph.from_edges(n, edges), 3)
-    ws = run_iterations(init_weights(cs), rounds)
-    partition = tentative_decomposition(cs, ws)
-    bounds = initialize_bounds(clique_core_numbers(cs), 3, ws.den)
-    before = bounds.copy()
-    groups, got = derive_stable_groups(partition, ws, cs, bounds)
-    assert bounds == before
-    assert (groups, got) == stable_groups_reference(partition, ws, cs, bounds)
-    return ws, cs, partition, groups
+    ws = run_iterations(cs, rounds)
+    partition = tentative_decomposition(ws)
+    core = clique_core_numbers(cs)
+    groups, got = derive_stable_groups(partition, ws, core)
+    assert (groups, got) == stable_groups_reference(partition, ws, core)
+    return ws, partition, groups
 
 
 def test_separated_block_fails_a_share_condition():
@@ -194,10 +209,10 @@ def test_separated_block_fails_a_share_condition():
     # vertex at its load, so its block passes the separation test, but the
     # triangle (4, 5, 6) still carries share on the heavier 4 and 5
     edges = clique_edges(range(4)) + [(4, 5), (4, 6), (5, 6), (4, 7), (5, 7)]
-    ws, cs, partition, groups = _checked_stable_groups(8, edges, 1)
+    ws, partition, groups = _checked_stable_groups(8, edges, 1)
     assert partition.groups == [(0, 1, 2, 3), (6,), (4, 5, 7)]
     assert ws.load.count(ws.load[6]) == 1
-    assert not is_stable_group((6,), ws, cs)
+    assert not is_stable_group((6,), ws)
     assert groups == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
@@ -208,20 +223,10 @@ def test_unstable_tail_merges_backward():
     # backward merge takes (4, 5) back into the last group
     edges = clique_edges(range(4)) + clique_edges([3, 4, 5]) \
         + clique_edges([6, 7, 8])
-    ws, cs, partition, groups = _checked_stable_groups(9, edges, 2)
+    ws, partition, groups = _checked_stable_groups(9, edges, 2)
     assert partition.groups == [(0, 1, 2, 3), (4, 5), (6,), (7, 8)]
-    assert is_stable_group((4, 5), ws, cs)
+    assert is_stable_group((4, 5), ws)
     assert ws.load.count(ws.load[6]) == 1
-    assert not is_stable_group((6,), ws, cs)
-    assert not is_stable_group((6, 7, 8), ws, cs)
+    assert not is_stable_group((6,), ws)
+    assert not is_stable_group((6, 7, 8), ws)
     assert groups == [(0, 1, 2, 3), (4, 5, 6, 7, 8)]
-
-
-def test_stable_groups_reject_another_denominator():
-    g = k_n(5)
-    cs = enumerate_cliques(g, 3)
-    ws = run_iterations(init_weights(cs), 5)
-    partition = tentative_decomposition(cs, ws)
-    bounds = initialize_bounds(clique_core_numbers(cs), 3, 3 * ws.den)
-    with pytest.raises(ValueError, match="bounds over"):
-        derive_stable_groups(partition, ws, cs, bounds)

@@ -30,7 +30,7 @@ def test_init_triangle():
 def test_den_is_h_rounds_and_lcm(h, rounds, den):
     # den = h * (T+1) * lcm(1..h-1)
     cs = enumerate_cliques(k_n(6), h)
-    assert run_iterations(init_weights(cs), rounds).den == den
+    assert run_iterations(cs, rounds).den == den
 
 
 def test_init_k4():
@@ -48,17 +48,17 @@ def test_init_empty():
 def test_one_round_hand_trace():
     # scale by 1/2, then the single clique tops up its minimum (vertex 0 by
     # the id tie-break): loads (2/3, 1/6, 1/6)
-    ws = run_iterations(init_weights(enumerate_cliques(triangle(), 3)), 1)
+    ws = run_iterations(enumerate_cliques(triangle(), 3), 1)
     assert _loads(ws) == [Fraction(2, 3), Fraction(1, 6), Fraction(1, 6)]
 
 
 def test_zero_rounds_identity():
-    ws = run_iterations(init_weights(enumerate_cliques(k_n(4), 3)), 0)
+    ws = run_iterations(enumerate_cliques(k_n(4), 3), 0)
     assert _loads(ws) == [1] * 4
 
 
 def test_k4_twenty_rounds_near_compact_numbers():
-    ws = run_iterations(init_weights(enumerate_cliques(k_n(4), 3)), 20)
+    ws = run_iterations(enumerate_cliques(k_n(4), 3), 20)
     assert max(abs(x - 1) for x in _loads(ws)) <= Fraction(15, 100)
 
 
@@ -71,7 +71,7 @@ def test_objective_examples():
 
 def test_objective_settles_below_start():
     cs = enumerate_cliques(gnp(random.Random(3), 9, 0.6), 3)
-    start, settled, late = (objective(run_iterations(init_weights(cs), rounds))
+    start, settled, late = (objective(run_iterations(cs, rounds))
                             for rounds in (0, 50, 250))
     assert late <= settled + 1e-9
     assert late <= start + 1e-9
@@ -86,10 +86,10 @@ def test_simplex_preserved_per_clique(seed, n, h, rounds):
     # the sum of its shares and the loads sum to m * den
     g = gnp(random.Random(seed), n, 0.6)
     cs = enumerate_cliques(g, h)
-    ws = run_iterations(init_weights(cs), rounds)
+    ws = run_iterations(cs, rounds)
     for decomposed in (False, True):
         if decomposed:
-            tentative_decomposition(cs, ws)
+            tentative_decomposition(ws)
         for row in share_rows(ws):
             assert sum(row) == ws.den
             assert all(type(x) is int and x >= 0 for x in row)
@@ -101,7 +101,7 @@ def test_long_run_approaches_compact_numbers():
     g = gnp(random.Random(17), 8, 0.6)
     cs = enumerate_cliques(g, 3)
     phi = oracle_compact_numbers(g, 3)
-    ws = run_iterations(init_weights(cs), 10_000)
+    ws = run_iterations(cs, 10_000)
     assert max(abs(x - phi[v]) for v, x in enumerate(_loads(ws))) <= \
         Fraction(5, 100)
 
@@ -125,8 +125,8 @@ def test_run_iterations_matches_eager_bit_for_bit(seed, n, kind, rounds):
     # no approx anywhere: the steering must take the eager update's float
     # operations in its order, and the shares must be the exact ones
     cs = _instances(gnp(random.Random(seed), n, 0.6), kind)
-    _assert_same_bits(run_iterations(init_weights(cs), rounds),
-                      run_iterations_eager(init_weights(cs), rounds))
+    _assert_same_bits(run_iterations(cs, rounds),
+                      run_iterations_eager(cs, rounds))
 
 
 @pytest.mark.parametrize("h", [3, 4])
@@ -136,8 +136,8 @@ def test_run_iterations_matches_eager_on_planted_graph(h):
     g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
     cs = enumerate_cliques(g, h)
     for rounds in (20, 150):
-        _assert_same_bits(run_iterations(init_weights(cs), rounds),
-                          run_iterations_eager(init_weights(cs), rounds))
+        _assert_same_bits(run_iterations(cs, rounds),
+                          run_iterations_eager(cs, rounds))
 
 
 def test_run_iterations_matches_eager_over_long_calls():
@@ -146,8 +146,8 @@ def test_run_iterations_matches_eager_over_long_calls():
     g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
     for cs in (enumerate_cliques(k_n(4), 3), enumerate_cliques(g, 3),
                enumerate_patterns(g, "diamond")):
-        _assert_same_bits(run_iterations(init_weights(cs), 150),
-                          run_iterations_eager(init_weights(cs), 150))
+        _assert_same_bits(run_iterations(cs, 150),
+                          run_iterations_eager(cs, 150))
 
 
 def _one_instance_with_degrees(degree):
@@ -174,38 +174,28 @@ def test_four_wide_step_breaks_ties_by_position():
             for base in (1, 2):
                 cs = _one_instance_with_degrees(
                     [base if i in low else base + 1 for i in range(4)])
-                first = run_iterations(init_weights(cs), 1)
+                first = run_iterations(cs, 1)
                 assert share_rows(first)[0] == \
                     [30 if i == low[0] else 6 for i in range(4)], (low, base)
                 for rounds in (1, 2, 20):
                     _assert_same_bits(
-                        run_iterations(init_weights(cs), rounds),
-                        run_iterations_eager(init_weights(cs), rounds))
+                        run_iterations(cs, rounds),
+                        run_iterations_eager(cs, rounds))
 
 
-def test_only_the_uniform_state_iterates():
-    # an iterated state's shares are the result of its rounds, and a
-    # decomposed state's were moved by the decomposition: neither is the
-    # uniform start, so both are refused and left as they are
-    g = planted(3, n=300, m=1500, blocks=10, size_lo=6, size_hi=14, p=0.7)
-    cs = enumerate_cliques(g, 3)
-    iterated = run_iterations(init_weights(cs), 20)
-    decomposed = run_iterations(init_weights(cs), 20)
-    tentative_decomposition(cs, decomposed)
-    assert 0 in decomposed.share
-    for ws in (iterated, decomposed):
-        before = (ws.share[:], ws.load[:], ws.den)
-        for rounds in (0, 1):
-            with pytest.raises(ValueError, match="uniform"):
-                run_iterations(ws, rounds)
-        assert (ws.share, ws.load, ws.den) == before
+def test_init_is_zero_rounds():
+    # the uniform start, 1/h per share, is the state after no rounds
+    g = planted(5, n=60, m=200, blocks=3, size_lo=5, size_hi=8, p=0.8)
+    for cs in (enumerate_cliques(g, 3), enumerate_cliques(g, 4),
+               enumerate_patterns(g, "diamond")):
+        ws, zero = init_weights(cs), run_iterations(cs, 0)
+        assert (ws.share, ws.load, ws.den) == (zero.share, zero.load, zero.den)
+        unit = ws.den // cs.h
+        assert ws.share == [unit] * (cs.h * len(cs.cliques))
+        assert ws.load == [d * unit for d in cs.degree]
+        _assert_same_bits(ws, run_iterations_eager(cs, 0))
 
 
 def test_negative_rounds_rejected():
-    ws = init_weights(enumerate_cliques(k_n(4), 3))
-    before = (ws.share[:], ws.load[:], ws.den)
     with pytest.raises(ValueError, match="rounds"):
-        run_iterations(ws, -3)
-    assert (ws.share, ws.load, ws.den) == before
-    _assert_same_bits(run_iterations(ws, 2), run_iterations_eager(
-        init_weights(enumerate_cliques(k_n(4), 3)), 2))
+        run_iterations(enumerate_cliques(k_n(4), 3), -3)
