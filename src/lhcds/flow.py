@@ -93,13 +93,6 @@ def build_network(cs: CliqueSet, rho: Fraction,
     net = FlowNetwork(num_vertices=n, den=den)
     head, cap, arcs = net.head, net.cap, net.arcs
 
-    extra_mass = [0] * n
-    for inside in boundary:
-        if not 1 <= len(inside) < h:
-            raise ValueError(f"boundary count {len(inside)} outside [1, {h - 1}]")
-        for v in inside:
-            extra_mass[v] += h * den // len(inside)
-
     sink_cap_num = rho_h * den
     assert sink_cap_num.denominator == 1
     sink_cap = max(0, int(sink_cap_num))
@@ -109,7 +102,7 @@ def build_network(cs: CliqueSet, rho: Fraction,
     for v in range(n):
         vn = 2 + v
         head += (net.SINK, vn, vn, net.SOURCE)
-        cap += (sink_cap, 0, cs.degree[v] * den + extra_mass[v], 0)
+        cap += (sink_cap, 0, cs.degree[v] * den, 0)
         arcs[vn] += (4 * v, 4 * v + 3)
     arcs[net.SOURCE].extend(range(2, 4 * n, 4))
     arcs[net.SINK].extend(range(1, 4 * n, 4))
@@ -132,8 +125,11 @@ def build_network(cs: CliqueSet, rho: Fraction,
             e += 4
 
     # Each boundary entry then gets the next node and the same per-member
-    # layout, with inward capacity h/cnt.
+    # layout, with inward capacity h/cnt, which it also adds to each
+    # member's source arc.
     for inside in boundary:
+        if not 1 <= len(inside) < h:
+            raise ValueError(f"boundary count {len(inside)} outside [1, {h - 1}]")
         node = len(arcs)
         out = []
         inward = h * den // len(inside)
@@ -141,6 +137,7 @@ def build_network(cs: CliqueSet, rho: Fraction,
             e = len(head)
             head += (node, v + 2, v + 2, node)
             cap += (inward, 0, (h - 1) * den, 0)
+            cap[4 * v + 2] += inward
             arcs[v + 2] += (e, e + 3)
             out += (e + 1, e + 2)
         arcs.append(out)

@@ -5,9 +5,11 @@ prefix length whose h-clique density strictly beats all longer prefixes
 (ties keep the longest prefix, so equal-density extensions never split).
 Cliques spanning several blocks get their weight reassigned into the last
 block they touch, after which consecutive blocks are greedily merged until
-they form stable groups: blocks separated from the rest in load, whose
-boundary cliques carry exactly zero weight across the boundary. Stable
-groups bound every member's compact number by the group's load range.
+they form stable groups: blocks separated from the rest in load, where no
+clique puts weight on a heavier outside vertex (the reassignment makes
+sure that no clique reaching a lighter one puts weight on the group; see
+``derive_stable_groups``). Stable groups bound every member's compact
+number by the group's load range.
 
 Every step reads its instances from the weight state ``ws.cs``. Shares,
 loads and bounds here are exact integer numerators over the state's one
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import itemgetter, ne
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cliques import Bounds, initialize_bounds
 from .graph import VertexSet
@@ -124,66 +126,66 @@ def tentative_decomposition(ws: WeightState) -> Partition:
     return Partition(groups=groups, spanning=spanning)
 
 
-def _no_weight_crosses(cids: Iterable[int], members: set[int], lo: int,
-                       hi: int, ws: WeightState) -> bool:
-    """Conditions (2)/(3) over the cliques ``cids`` only: a clique joining
-    the members to a vertex above ``hi`` carries share 0 on that vertex, and
-    one joining them to a vertex below ``lo`` carries share 0 on every
-    member."""
-    load = ws.load
-    share = ws.share
-    cliques = ws.cs.cliques
-    h = ws.cs.h
-    for cid in cids:
-        clique = cliques[cid]
-        base = cid * h
-        low_checked = False
-        for i, w in enumerate(clique):
-            if w in members:
-                continue
-            if load[w] > hi:
-                if share[base + i]:
-                    return False
-            elif not low_checked:  # load[w] < lo by condition (1)
-                for j, u in enumerate(clique):
-                    if u in members and share[base + j]:
-                        return False
-                low_checked = True
-    return True
-
-
 def derive_stable_groups(partition: Partition, ws: WeightState,
                          core: Sequence[int]) -> tuple[list[VertexSet], Bounds]:
     """Greedily merge consecutive blocks into stable groups and tighten the
     bounds ``initialize_bounds(core, h, ws.den)`` of the clique cores.
 
-    For every member u of a stable group: upper[u] shrinks to the group's
-    maximum exact load and lower[u] grows to its minimum. Tightening never
-    widens an interval. Groups are returned in the partition's
-    descending-load order.
+    ``partition`` must be ``tentative_decomposition(ws)`` of this same
+    ``ws``. For every member u of a stable group: upper[u] shrinks to the
+    group's maximum exact load and lower[u] grows to its minimum.
+    Tightening never widens an interval. Groups are returned in the
+    partition's descending-load order.
 
-    Separation is tested first, by bisect on the sorted loads; only a merge
-    that passes it scans the partition's spanning cliques that touch it for
-    the share conditions. That is exact: every group is a union of whole
-    blocks, and any other clique the group touches lies inside one block,
-    hence wholly inside the group, and has no outside member that could
-    carry or receive weight across its boundary.
+    A group G with load range [lo, hi] is stable (Danisch, Chan and Sozio,
+    WWW 2017, carried over to h-cliques) when (1) it is separated: the
+    vertices with load in [lo, hi] are exactly its members; (2) no clique
+    puts weight on an outside vertex heavier than hi; and (3) no clique
+    that reaches an outside vertex lighter than lo puts weight on G.
+    Separation is tested first, by bisect on the sorted loads. Only a merge
+    that passes it scans the partition's spanning cliques that touch it
+    for (2). Every other clique the group touches lies inside one block,
+    hence wholly inside the group, and has no outside member.
+
+    (3) never decides on this partition. After the reassignment a spanning
+    clique has weight only on its members in its last block: those shares
+    start at (1+h*c)*lcm(1..h-1) > 0 and only grow, and its other shares
+    are 0. Say G passed separation and a clique C puts weight on a member
+    u of G and touches an outside w with load[w] < lo. C's last block holds
+    u, so it lies inside G, and w's block comes before G. That block
+    belongs to a group G' that has already closed and is still in ``sets``,
+    in the forward pass and in the backward merge alike. G' passed
+    separation too, and the two groups share no vertex, so each range holds
+    no load of the other group; with lo' <= load[w] < lo that gives
+    hi' < lo <= load[u]. So C, a spanning clique touching G' through w,
+    puts weight on u above hi', and G' failed (2), which contradicts its
+    closing. On a hand-built partition whose shares were not reassigned,
+    (3) can decide, and this function may close a group that fails it.
     """
     cliques = ws.cs.cliques
-    out = initialize_bounds(core, ws.cs.h, ws.den)
+    h = ws.cs.h
+    out = initialize_bounds(core, h, ws.den)
     load = ws.load
+    share = ws.share
     all_loads = sorted(load)
 
     def stable(members: list[int], lo: int, hi: int) -> bool:
-        # vertices with load in [lo, hi] must be exactly the members
+        # (1): vertices with load in [lo, hi] must be exactly the members
         in_range = bisect_right(all_loads, hi) - bisect_left(all_loads, lo)
         if in_range != len(members):
             return False
+        # (2): no spanning clique that touches the group puts weight above
+        # hi (a vertex there is never a member)
         member_set = set(members)
-        return _no_weight_crosses(
-            (cid for cid in partition.spanning
-             if not member_set.isdisjoint(cliques[cid])),
-            member_set, lo, hi, ws)
+        for cid in partition.spanning:
+            clique = cliques[cid]
+            if member_set.isdisjoint(clique):
+                continue
+            base = cid * h
+            for i, w in enumerate(clique):
+                if load[w] > hi and share[base + i]:
+                    return False
+        return True
 
     sets: list[tuple[list[int], int, int]] = []
     acc: list[int] = []

@@ -86,14 +86,11 @@ def run_iterations(cs: CliqueSet, rounds: int) -> WeightState:
     degree = cs.degree
     h = cs.h
     load = [d / h for d in degree]
-    # a vertex in no clique keeps load 0.0, which scaling leaves 0.0
-    in_cliques = [v for v, d in enumerate(degree) if d]
     picks = [[0] * len(cliques) for _ in range(h)]
     for t in range(1, rounds + 1):
         gamma = 1.0 / (t + 1)
         keep = 1.0 - gamma
-        for v in in_cliques:
-            load[v] *= keep
+        load = [x * keep for x in load]
         if h == 4:
             p0, p1, p2, p3 = picks
             for cid, (a, b, c, d) in enumerate(cliques):

@@ -339,10 +339,10 @@ def is_stable_group(candidate, ws) -> bool:
         if v not in members and lo <= x <= hi:
             return False
     cs = ws.cs
-    rows = share_rows(ws)
+    h = cs.h
     for cid in set(chain.from_iterable(map(cs.incidence.__getitem__,
                                            members))):
-        pairs = list(zip(cs.cliques[cid], rows[cid]))
+        pairs = list(zip(cs.cliques[cid], ws.share[cid * h:(cid + 1) * h]))
         on_members = any(x for v, x in pairs if v in members)
         for w, x in pairs:
             if w in members:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Graph, Partition, enumerate_cliques, enumerate_patterns,
+from lhcds import (Graph, enumerate_cliques, enumerate_patterns,
                    init_weights, initialize_bounds, clique_core_numbers,
                    derive_stable_groups, run_iterations,
                    tentative_decomposition)
@@ -107,24 +107,43 @@ def test_outward_share_blocks_stability():
     assert not is_stable_group((4,), init_weights(cs))
 
 
-def test_inward_share_blocks_stability():
-    # the same graph and a clique-free vertex 5, from the other side: the K4
-    # is separated in load from the lighter 4 and no vertex is heavier, but
-    # the triangle (0, 1, 4) carries weight on 0 and 1, so condition (3)
-    # alone keeps the K4 from closing a group before 4 joins it. Were the K4
-    # closed, 4 could close no group and the backward merge would take the
-    # K4 and 5 in too. The blocks are the uniform state's load order; the
-    # decomposition would have moved the triangle's weight onto 4 first
-    g = Graph.from_edges(6, clique_edges(range(4)) + [(0, 4), (1, 4)])
-    cs = enumerate_cliques(g, 3)
-    ws = init_weights(cs)
-    assert not is_stable_group((0, 1, 2, 3), ws)
-    partition = Partition(groups=[(0, 1, 2, 3), (4,), (5,)],
-                          spanning=[cs.cliques.index((0, 1, 4))])
+def _decomposed_groups_match_reference(cs, rounds):
+    ws = run_iterations(cs, rounds)
+    partition = tentative_decomposition(ws)
     core = clique_core_numbers(cs)
     got = derive_stable_groups(partition, ws, core)
-    assert got[0] == [(0, 1, 2, 3, 4), (5,)]
     assert got == stable_groups_reference(partition, ws, core)
+    return ws, partition, got[0]
+
+
+def test_reassignment_settles_the_inward_condition():
+    # the same graph and a clique-free vertex 5, from the other side: in the
+    # uniform state the K4 is separated in load from the lighter 4 and no
+    # vertex is heavier, but the triangle (0, 1, 4) carries weight on 0 and
+    # 1, so the reference's condition (3) alone rejects the K4. The library
+    # tests separation and (2) only, which is exact on the partitions the
+    # decomposition makes; here it puts the K4 and 4 in one block
+    g = Graph.from_edges(6, clique_edges(range(4)) + [(0, 4), (1, 4)])
+    cs = enumerate_cliques(g, 3)
+    assert not is_stable_group((0, 1, 2, 3), init_weights(cs))
+    for rounds in range(6):
+        _decomposed_groups_match_reference(cs, rounds)
+    # K5 less the edge (1, 5), the lighter 2 on the triangle (2, 3, 5) and
+    # 6 hanging off 2: the decomposition splits off 2, so the triangle
+    # spans two blocks. Before its reassignment it carries weight on 3 and
+    # 5 and (3) fails for the K5's block; after it, its weight is all on 2
+    edges = [(u, v) for u in (0, 1, 3, 4, 5) for v in (0, 1, 3, 4, 5)
+             if u < v and (u, v) != (1, 5)] + [(2, 3), (2, 5), (2, 6)]
+    cs = enumerate_cliques(Graph.from_edges(7, edges), 3)
+    for rounds in range(6):
+        ws, partition, groups = _decomposed_groups_match_reference(cs, rounds)
+        assert partition.groups == [(0, 1, 3, 4, 5), (2,), (6,)]
+        assert partition.spanning == [cs.cliques.index((2, 3, 5))]
+        if rounds:
+            assert not is_stable_group((0, 1, 3, 4, 5),
+                                       run_iterations(cs, rounds))
+            assert is_stable_group((0, 1, 3, 4, 5), ws)
+            assert groups == partition.groups
 
 
 def test_derived_groups_disjoint_and_stable():
@@ -151,17 +170,17 @@ def test_derived_groups_disjoint_and_stable():
 
 def _seeded_clique_sets(mode):
     """Clique sets of seeded gnp and planted graphs, at h=3, at h=4 or in
-    diamond mode, each with a few weight rounds and with 20."""
+    a non-clique pattern mode, each with a few weight rounds and with 20."""
     rng = random.Random(41)
     graphs = [gnp(rng, rng.randint(6, 14), rng.choice([0.4, 0.6, 0.8]))
               for _ in range(10)]
     graphs += [planted(seed, n=200, m=700, blocks=8, size_lo=5, size_hi=10,
                        p=0.8) for seed in range(1, 7)]
     for g in graphs:
-        if mode == "diamond":
-            cs = enumerate_patterns(g, "diamond")
-        else:
+        if mode in ("h3", "h4"):
             cs = enumerate_cliques(g, int(mode[1]))
+        else:
+            cs = enumerate_patterns(g, mode)
         for rounds in (3, 20):
             yield cs, run_iterations(cs, rounds)
 
@@ -180,16 +199,53 @@ def test_spanning_lists_cliques_across_blocks(mode):
     assert spanned > 0
 
 
-@pytest.mark.parametrize("mode", ["h3", "h4", "diamond"])
+@pytest.mark.parametrize("mode", ["h3", "h4", "diamond", "tailed-triangle",
+                                  "4loop", "3star", "4path"])
 def test_stable_groups_match_full_incidence_scan(mode):
-    # scanning only the spanning cliques that touch a group gives the same
-    # groups, and exactly the same bounds, as scanning every clique incident
-    # to it
+    # testing separation and condition (2) over the spanning cliques that
+    # touch a group gives the same groups, and exactly the same bounds, as
+    # testing the full definition over every clique incident to it
     for cs, ws in _seeded_clique_sets(mode):
         partition = tentative_decomposition(ws)
         core = clique_core_numbers(cs)
         got = derive_stable_groups(partition, ws, core)
         assert got == stable_groups_reference(partition, ws, core)
+
+
+@pytest.mark.time_limit(60)  # took about 2 s when measured
+def test_stable_groups_match_the_definition_on_random_cases():
+    # random gnp and planted graphs at h = 3, 4 and 5 and in every
+    # non-clique pattern mode, after 0 to 25 weight rounds; the exactness
+    # argument of derive_stable_groups rests on the reassignment leaving
+    # each spanning clique positive shares in its last block and 0 elsewhere
+    rng = random.Random(20261022)
+    modes = [3, 4, 5, "diamond", "tailed-triangle", "4loop", "3star", "4path"]
+    spanned = 0
+    for case in range(400):
+        if case % 4:
+            g = gnp(rng, rng.randint(4, 12), rng.choice([0.4, 0.6, 0.8]))
+        else:
+            n = rng.randint(30, 120)
+            g = planted(rng.randrange(10**6), n=n, m=3 * n, blocks=4,
+                        size_lo=4, size_hi=8, p=0.8)
+        mode = rng.choice(modes)
+        cs = (enumerate_cliques(g, mode) if isinstance(mode, int)
+              else enumerate_patterns(g, mode))
+        ws = run_iterations(cs, rng.randint(0, 25))
+        partition = tentative_decomposition(ws)
+        spanned += bool(partition.spanning)
+        block_of = {v: b for b, grp in enumerate(partition.groups)
+                    for v in grp}
+        for cid in partition.spanning:
+            members = cs.cliques[cid]
+            last = max(map(block_of.__getitem__, members))
+            row = ws.share[cid * cs.h:(cid + 1) * cs.h]
+            assert all((x > 0) == (block_of[v] == last)
+                       for v, x in zip(members, row)), (case, mode, cid)
+        core = clique_core_numbers(cs)
+        assert derive_stable_groups(partition, ws, core) == \
+            stable_groups_reference(partition, ws, core), (case, mode)
+    assert spanned >= 100
 
 
 def _checked_stable_groups(n, edges, rounds):
