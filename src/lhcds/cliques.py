@@ -165,23 +165,23 @@ def onto_support(cs: CliqueSet) -> tuple[VertexSet, CliqueSet]:
     local = [0] * len(cs.degree)
     for i, v in enumerate(sup):
         local[v] = i
-    to_local = local.__getitem__
+    # one flat pass per slice of 4096 cliques: a slice's old tuples are
+    # freed as it is replaced, so the whole list is never held twice
+    get = local.__getitem__
     cliques = cs.cliques
-    for cid, c in enumerate(cliques):
-        cliques[cid] = tuple(map(to_local, c))
+    for i in range(0, len(cliques), 4096):
+        it = map(get, chain.from_iterable(cliques[i:i + 4096]))
+        cliques[i:i + 4096] = zip(*[it] * cs.h)
     return sup, CliqueSet(h=cs.h, cliques=cliques,
                           degree=[cs.degree[v] for v in sup],
                           incidence=[cs.incidence[v] for v in sup])
 
 
-def clique_core_numbers(cs: CliqueSet,
-                        alive: Sequence[int] | None = None) -> list[int]:
+def clique_core_numbers(cs: CliqueSet) -> list[int]:
     """Per-vertex h-clique-core numbers by minimum-clique-degree peeling.
 
     core[u] is the largest k such that u survives in the subgraph where every
-    vertex lies in at least k live cliques. With an ``alive`` mask, only the
-    vertices v with a true ``alive[v]`` take part: a clique with a dead member
-    does not count, and dead vertices get core 0. ``buckets[d]`` lists each
+    vertex lies in at least k live cliques. ``buckets[d]`` lists each
     vertex whose clique degree became d, at the start or after a decrement,
     and d runs upward: an entry whose degree has fallen since is stale and is
     skipped. Degrees only fall, and never below the level being peeled, so a
@@ -189,28 +189,13 @@ def clique_core_numbers(cs: CliqueSet,
     n + (h-1) * |cliques| entries. Core numbers do not depend on the order in
     which equal-degree vertices peel.
     """
-    n = len(cs.degree)
     cliques = cs.cliques
     incidence = cs.incidence
     deg = list(cs.degree)
     live = bytearray(b"\1") * len(cliques)
-    if alive is None:
-        verts: Sequence[int] = range(n)
-    else:
-        verts = [v for v in range(n) if alive[v]]
-        for v in range(n):
-            if alive[v]:
-                continue
-            for cid in incidence[v]:
-                if live[cid]:
-                    live[cid] = 0
-                    for u in cliques[cid]:
-                        deg[u] -= 1
-
-    top = max((deg[v] for v in verts), default=0)
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for v in verts:
-        buckets[deg[v]].append(v)
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
     for d, bucket in enumerate(buckets):
         for v in bucket:  # also reads the entries appended while it runs
             if deg[v] != d:

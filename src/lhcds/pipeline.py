@@ -57,10 +57,14 @@ self-densest by that count alone (the certificate in
 network. Any other candidate costs one flow solve on its restricted cliques:
 the witness ``flow.denser_part`` is empty iff S is self-densest, and
 otherwise it is the split. Each candidate and piece carries its members'
-clique degrees inside it and its clique count, both from one
-``CliqueSet.degrees_within`` walk. The equal-degree test reads the degrees,
-and ``flow.verify_fast`` takes the count, the numerator of the density it
-verifies.
+clique degrees inside it and its clique count, their sum over h. The
+equal-degree test reads the degrees, and ``flow.verify_fast`` takes the
+count, the numerator of the density it verifies. A split piece counts its
+degrees in one ``CliqueSet.degrees_within`` walk. The pass's candidates take
+theirs from ``prune``, which keeps each vertex's degree among the survivors
+as its cascade kills cliques. That is the degree inside the candidate: a
+clique is connected, so a clique with every member a survivor lies inside
+one component of the survivors.
 
 The pass and the worklist run on the clique support: G[sup], with sup the
 vertices in some clique, and the cliques relabelled onto it
@@ -228,16 +232,16 @@ def _run(g: Graph, cs: CliqueSet, cliques: bool, cfg: PipelineConfig,
     # from here on g is G[sup] and every id is a support id
     sup, cs = onto_support(cs)
     n, g = g.n, induced_subgraph(g, sup)
+    core = clique_core_numbers(cs)
     if cliques:
-        bounds = initialize_bounds(clique_core_numbers(cs), cs.h, cs.h)
+        bounds = initialize_bounds(core, cs.h, cs.h)
     else:
         stats.max_iterations_used = cfg.iterations
         ws = run_iterations(cs, cfg.iterations)
         stats.fw_updates += cfg.iterations * len(cs.cliques)
-        _, bounds = derive_stable_groups(tentative_decomposition(ws), ws,
-                                         clique_core_numbers(cs))
-    surviving = prune(g, bounds, cs)
-    candidates = _as_candidates(g, cs, (surviving,))
+        _, bounds = derive_stable_groups(tentative_decomposition(ws), ws, core)
+    surviving, degree = prune(g, bounds, cs, core)
+    candidates = _as_candidates(g, cs, (surviving,), degree)
     stats.candidates_proposed += len(candidates)
     stats.pruned_vertices += n - len(surviving)
     if on_round is not None:
@@ -284,14 +288,17 @@ def _whole_graph_event(n: int, sup: VertexSet, candidates: list[_Candidate],
         bounds=Bounds(upper=upper, lower=lower, den=bounds.den))
 
 
-def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]]
-                   ) -> list[_Candidate]:
+def _as_candidates(g: Graph, cs: CliqueSet, parts: Iterable[Iterable[int]],
+                   degree: list[int] | None = None) -> list[_Candidate]:
     """The connected components of each part in g that hold a clique, as
-    candidates, densest-first (ties by smallest vertex id)."""
+    candidates, densest-first (ties by smallest vertex id). ``degree``, when
+    given, holds each vertex's clique degree inside its own component;
+    otherwise each component's degrees are counted."""
     out: list[_Candidate] = []
     for part in parts:
         for comp in connected_components(g, part):
-            degrees = cs.degrees_within(comp)
+            degrees = (cs.degrees_within(comp) if degree is None
+                       else list(map(degree.__getitem__, comp)))
             count = sum(degrees) // cs.h
             if count == 0:
                 continue

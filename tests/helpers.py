@@ -277,21 +277,26 @@ def core_bruteforce(n: int, cliques) -> list[int]:
     return core
 
 
-def prune_rebuild(g: Graph, bounds, cs):
+def prune_rebuild(g: Graph, bounds, cs, drops: list[int] | None = None):
     """The pruning rules with the core cascade run by rebuilding: every pass
     restricts the clique set and the graph to the survivors and peels their
-    cores from scratch. Returns the surviving ids."""
+    cores from scratch. Returns the surviving ids; appends to ``drops``,
+    when given, the number of passes that dropped a vertex."""
     alive = [True] * g.n
     for v in range(g.n):
         if any(bounds.upper[v] < bounds.lower[u] for u in g.adj[v]):
             alive[v] = False
+    passes = 0
     while True:
         survivors = [v for v in range(g.n) if alive[v]]
         core = clique_core_numbers(restrict_cliques(cs, survivors))
         dropped = [v for i, v in enumerate(survivors)
                    if core[i] < Fraction(bounds.lower[v], bounds.den)]
         if not dropped:
+            if drops is not None:
+                drops.append(passes)
             return tuple(survivors)
+        passes += 1
         for v in dropped:
             alive[v] = False
 

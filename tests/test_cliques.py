@@ -33,16 +33,16 @@ def _seeded_sets(kind, count=12):
 
 
 def _core_sets(kind):
-    """_seeded_sets, then three 150-vertex planted graphs. 3star keeps the
-    small graphs alone: its instance count grows with the cube of the
-    degree."""
-    yield from _seeded_sets(kind)
+    """The graphs and instances of _seeded_sets, then three 150-vertex
+    planted graphs. 3star keeps the small graphs alone: its instance count
+    grows with the cube of the degree."""
+    for _rng, g, cs in _seeded_sets(kind):
+        yield g, cs
     if kind == "3star":
         return
-    rng = random.Random(f"planted-cores-{kind}")
     for seed in (1, 2, 3):
         g = planted(seed, n=150, m=600, blocks=6, size_lo=5, size_hi=12, p=0.7)
-        yield rng, g, _instances(g, kind)
+        yield g, _instances(g, kind)
 
 
 def test_counts_on_complete_graphs():
@@ -253,22 +253,11 @@ def test_core_vertices_retain_core_degree():
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
 def test_core_numbers_match_iterated_k_core(kind):
     repeats = 0
-    for _rng, g, cs in _core_sets(kind):
+    for g, cs in _core_sets(kind):
         assert clique_core_numbers(cs) == core_bruteforce(g.n, cs.cliques)
         repeats += len(cs.cliques) - len(set(cs.cliques))
     if kind in ("diamond", "3star"):
         assert repeats > 0
-
-
-@pytest.mark.parametrize("kind", INSTANCE_KINDS)
-def test_core_numbers_under_alive_mask(kind):
-    for rng, g, cs in _core_sets(kind):
-        alive = bytearray(rng.random() < 0.7 for _ in range(g.n))
-        survivors = [v for v in range(g.n) if alive[v]]
-        want = clique_core_numbers(restrict_cliques(cs, survivors))
-        core = clique_core_numbers(cs, alive)
-        assert [core[v] for v in survivors] == want
-        assert all(core[v] == 0 for v in range(g.n) if not alive[v])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lhcds import (Graph, PipelineConfig, RunStats, connected_components,
-                   enumerate_cliques, enumerate_patterns, flow, ippv,
-                   ippv_pattern, oracle_compact_numbers, oracle_lhcds, prune,
-                   verify_basic)
+from lhcds import (Graph, PipelineConfig, RunStats, clique_core_numbers,
+                   connected_components, enumerate_cliques, enumerate_patterns,
+                   flow, ippv, ippv_pattern, oracle_compact_numbers,
+                   oracle_lhcds, pipeline, prune, verify_basic)
 from helpers import (clique_edges, core_bounds, gnp, k_n, path_n, planted,
                      proposal, star, thirteen_triangles, triangle,
                      two_k4_bridge_vertex)
@@ -318,7 +318,9 @@ def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
         _, bounds = proposal(cs, cfg.iterations)
         assert stats.fw_updates == cfg.iterations * len(cs.cliques)
     assert ev.bounds == bounds
-    surviving = prune(g, bounds, cs)
+    surviving, degree = prune(g, bounds, cs, clique_core_numbers(cs))
+    for comp in connected_components(g, surviving):
+        assert [degree[v] for v in comp] == cs.degrees_within(comp)
     # a clique-free vertex with no clique-bearing neighbour survives the
     # whole-graph rules, but no candidate holds it
     alive = set(surviving)
@@ -338,14 +340,31 @@ def _support_run(g, kind, cfg=PipelineConfig(emit_all=True)):
 @pytest.mark.time_limit(20)  # all seven kinds took about 1 s when measured
 @pytest.mark.parametrize("kind", [2, 3, 4, "4clique", "diamond", "4loop",
                                   "tailed-triangle"])
-def test_pass_on_the_clique_support(kind):
+def test_pass_on_the_clique_support(kind, monkeypatch):
     # the pass runs on the vertices in some clique (or instance); its event
-    # and records must read as a pass over the whole graph would
+    # and records must read as a pass over the whole graph would. The pass's
+    # candidates take their degrees from prune, split pieces count their
+    # own: both must equal the counts inside each candidate
+    as_candidates = pipeline._as_candidates
+    passes = []
+
+    def checked(g, cs, parts, degree=None):
+        out = as_candidates(g, cs, parts, degree)
+        if degree is not None:
+            passes.append(len(out))
+        for c in out:
+            assert c.degrees == cs.degrees_within(c.vertices)
+            assert c.clique_count == cs.count_within(c.vertices)
+        return out
+
+    monkeypatch.setattr(pipeline, "_as_candidates", checked)
     for seed in range(1, 4):
         g = planted(seed, n=400, m=1200, blocks=6, size_lo=5, size_hi=8,
                     p=0.8)
         got, ev = _support_run(g, kind)
         assert got and len(ev.pruned) < g.n
+        assert passes[-1] == len(ev.candidates) > 0
+    assert len(passes) == 3
 
 
 def test_pass_on_an_empty_support():

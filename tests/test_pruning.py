@@ -11,6 +11,24 @@ from lhcds import (Bounds, Graph, PipelineConfig, clique_core_numbers,
 from helpers import (clique_edges, core_bounds, exact_bounds, gnp, k_n,
                      planted, proposal, prune_rebuild)
 
+KINDS = [2, 3, 4, "diamond", "4loop", "tailed-triangle"]
+
+
+def _instances(g, kind):
+    if isinstance(kind, int):
+        return enumerate_cliques(g, kind)
+    return enumerate_patterns(g, kind)
+
+
+def _prune(g, b, cs):
+    """prune's survivors, after checking its degrees: each survivor's is
+    its clique degree inside its component, and a dropped vertex's is 0."""
+    surviving, degree = prune(g, b, cs, clique_core_numbers(cs))
+    for comp in connected_components(g, surviving):
+        assert [degree[v] for v in comp] == cs.degrees_within(comp)
+    assert not any(degree[v] for v in set(range(g.n)).difference(surviving))
+    return surviving
+
 
 def _bounds(upper, lower, den=4):
     # the given rationals as integer numerators over den
@@ -34,7 +52,7 @@ def test_edge_rule_removes_dominated_vertex():
     # pendant 4 sits below vertex 0's lower bound across the edge (0, 4)
     g = Graph.from_edges(5, clique_edges(range(4)) + [(0, 4)])
     b = _bounds(upper=[3, 3, 3, 3, 0.5], lower=[1, 1, 1, 1, 0.25])
-    assert prune(g, b, enumerate_cliques(g, 3)) == (0, 1, 2, 3)
+    assert _prune(g, b, enumerate_cliques(g, 3)) == (0, 1, 2, 3)
 
 
 def _cascade_fixture():
@@ -50,7 +68,7 @@ def _cascade_fixture():
 
 def test_core_cascade():
     g, b = _cascade_fixture()
-    surviving = prune(g, b, enumerate_cliques(g, 3))
+    surviving = _prune(g, b, enumerate_cliques(g, 3))
     assert 9 not in surviving and 11 not in surviving    # edge rule
     assert 8 not in surviving and 10 not in surviving    # core cascade
     assert set(range(8)) <= set(surviving)
@@ -66,15 +84,17 @@ def test_cascade_reaches_fixed_point():
     g = Graph.from_edges(9, edges)
     b = _bounds(upper=[10] * 9, lower=[4, 3, 3, 3] + [2] * 5)
     cs = enumerate_cliques(g, 2)
-    assert prune(g, b, cs) == ()
-    assert prune_rebuild(g, b, cs) == ()
+    assert _prune(g, b, cs) == ()
+    drops = []
+    assert prune_rebuild(g, b, cs, drops) == ()
+    assert drops == [3]
 
 
 def test_uniform_graph_untouched():
     g = k_n(5)
     cs = enumerate_cliques(g, 3)
     b = _bounds(upper=[6] * 5, lower=[2] * 5)
-    assert prune(g, b, cs) == tuple(range(5))
+    assert _prune(g, b, cs) == tuple(range(5))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -98,18 +118,18 @@ def test_edge_rule_matches_per_edge_compares_at_ulp_ties(seed):
                 if any(b.upper[v] < b.lower[u] for u in g.adj[v])}
     assert 0 < len(per_edge) < g.n
     cs = enumerate_cliques(g, 2)
-    surviving = prune(g, b, cs)
+    surviving = _prune(g, b, cs)
     assert per_edge.isdisjoint(surviving)
     assert surviving == prune_rebuild(g, b, cs)
 
 
 def test_idempotent():
     g, b = _cascade_fixture()
-    surviving = prune(g, b, enumerate_cliques(g, 3))
+    surviving = _prune(g, b, enumerate_cliques(g, 3))
     g2 = induced_subgraph(g, surviving)
     b2 = Bounds(upper=[b.upper[v] for v in surviving],
                 lower=[b.lower[v] for v in surviving], den=b.den)
-    assert prune(g2, b2, enumerate_cliques(g2, 3)) == tuple(range(g2.n))
+    assert _prune(g2, b2, enumerate_cliques(g2, 3)) == tuple(range(g2.n))
 
 
 def test_near_tie_not_pruned():
@@ -121,7 +141,7 @@ def test_near_tie_not_pruned():
         for step, want in ((0, (0, 1, 2, 3, 4)), (1, (1, 2, 3, 4))):
             b = Bounds(upper=[den - step] + [3 * den] * 4,
                        lower=[0, den, 0, 0, 0], den=den)
-            assert prune(g, b, cs) == want
+            assert _prune(g, b, cs) == want
             assert prune_rebuild(g, b, cs) == want
 
 
@@ -133,7 +153,7 @@ def test_core_cascade_compares_core_times_den():
     den = 126
     for step, want in ((0, (0, 1, 2)), (1, ())):
         b = Bounds(upper=[5 * den] * 3, lower=[den, den, den + step], den=den)
-        assert prune(g, b, cs) == want
+        assert _prune(g, b, cs) == want
         assert prune_rebuild(g, b, cs) == want
 
 
@@ -155,10 +175,37 @@ def test_prune_matches_rebuild_cascade(seed):
     ws = run_iterations(cs, 20)
     groups, local = derive_stable_groups(tentative_decomposition(ws), ws,
                                          core)
-    surviving = prune(g, local, cs)
+    surviving = _prune(g, local, cs)
     assert surviving == prune_rebuild(g, local, cs)
     assert _cross_edges(g, groups, surviving) == []
     assert initialize_bounds(core, h, ws.den) == exact_bounds(core, h, ws.den)
+
+
+@pytest.mark.time_limit(30)  # each kind took under 5 s when measured
+@pytest.mark.parametrize("kind", KINDS)
+def test_cascade_matches_rebuild_on_random_graphs(kind):
+    # the local core update against the rebuild cascade on gnp graphs, with
+    # a random den. Most lower bounds sit at the core (the vertex falls once
+    # its core among the survivors drops) and a few one step above it (it
+    # falls at once), so drops cascade; a fifth of the uppers sit at the
+    # core, so the edge rule fires too
+    deep = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = gnp(rng, rng.randint(4, 30), rng.uniform(0.1, 0.7))
+        cs = _instances(g, kind)
+        core = clique_core_numbers(cs)
+        den = rng.randint(1, 12)
+        top = (max(core, default=0) + 1) * den
+        b = Bounds(upper=[top if rng.random() < 0.8 else c * den
+                          for c in core],
+                   lower=[c * den + (rng.random() < 0.1)
+                          if rng.random() < 0.7 else rng.randint(0, c * den)
+                          for c in core], den=den)
+        drops = []
+        assert _prune(g, b, cs) == prune_rebuild(g, b, cs, drops), seed
+        deep += drops[0] >= 2  # three or more core passes in the rebuild
+    assert deep >= 15
 
 
 class _PassDone(Exception):
@@ -210,7 +257,7 @@ def test_survivors_never_span_two_stable_groups(kind):
         for rounds in (1, 5, 20):
             ev = _pass_event(g, kind, rounds)
             groups, bounds = proposal(cs, rounds)
-            surviving = [v for v in prune(g, bounds, cs) if cs.degree[v]]
+            surviving = [v for v in _prune(g, bounds, cs) if cs.degree[v]]
             assert _cross_edges(g, groups, surviving) == [], (seed, rounds)
             alive = set(surviving)
             per_group = []
@@ -225,7 +272,7 @@ def test_survivors_never_span_two_stable_groups(kind):
                 (seed, rounds)
             if isinstance(kind, int):
                 bounds = core_bounds(cs)
-                surviving = [v for v in prune(g, bounds, cs)
+                surviving = [v for v in _prune(g, bounds, cs)
                              if cs.degree[v]]
                 candidates = _candidates(g, cs, surviving)
             assert ev.bounds == bounds
